@@ -42,7 +42,9 @@ class RoleSemigroup:
     ``elements`` lists the closure in discovery (shortest-word) order;
     ``words[i]`` is the generator-index sequence of the earliest shortest word
     for element i; ``cayley[i][j]`` indexes elements[i] composed after
-    elements[j] (row = left operand).
+    elements[j] (row = left operand).  The operation the elements were
+    closed under must be associative: the table is derived from generator
+    products by associativity.
     """
 
     __slots__ = (
@@ -113,6 +115,12 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     Breadth-first over words by length, then lexicographically by generator
     order, so every element carries its earliest shortest word.  Raises
     ResourceLimitError once the closure would exceed ``cap`` elements.
+
+    ``compose`` must be associative.  It is called exactly once per generator
+    and element (the left Cayley graph); the Cayley table is then filled from
+    that graph, following Froidure and Pin, "Algorithms for computing finite
+    semigroups" (1997): the row of x = g*x' is the row of the shorter suffix
+    x' mapped through left multiplication by g, since (g*x')*y = g*(x'*y).
     """
     generators = list(generators)
     if not generators:
@@ -122,6 +130,7 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
 
     elements = []
     words = []
+    suffix = []  # suffix[x] = x' with words[x] = (words[x][0],) + words[x']; None for generators
     index = {}
     generator_elements = []
     level = []
@@ -133,37 +142,38 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
         index[g] = idx
         elements.append(g)
         words.append((i,))
+        suffix.append(None)
         generator_elements.append(idx)
         level.append(idx)
 
+    # left[i][x] indexes gens[i] composed after elements[x]; levels are
+    # contiguous index ranges, so appending level by level fills it by position
+    left = [[] for _ in gens]
     while level:
         nxt = []
         for i, g in enumerate(gens):
+            row = left[i]
             for x in level:
                 product = compose(g, elements[x])
-                if product in index:
-                    continue
-                if len(elements) >= cap:
-                    raise ResourceLimitError(
-                        f"closure exceeded the cap of {cap} elements", count=len(elements)
-                    )
-                idx = len(elements)
-                index[product] = idx
-                elements.append(product)
-                words.append((i,) + words[x])
-                nxt.append(idx)
+                idx = index.get(product)
+                if idx is None:
+                    if len(elements) >= cap:
+                        raise ResourceLimitError(
+                            f"closure exceeded the cap of {cap} elements", count=len(elements)
+                        )
+                    idx = len(elements)
+                    index[product] = idx
+                    elements.append(product)
+                    words.append((i,) + words[x])
+                    suffix.append(x)
+                    nxt.append(idx)
+                row.append(idx)
         level = nxt
 
-    m = len(elements)
     cayley = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            product = compose(elements[i], elements[j])
-            if product not in index:
-                raise InvariantViolation("closure is not product-complete; compose is broken")
-            row.append(index[product])
-        cayley.append(row)
+    for x, rest in enumerate(suffix):
+        first = left[words[x][0]]
+        cayley.append(first if rest is None else [first[z] for z in cayley[rest]])
 
     absorbing = _find_zero(elements, cayley)
     return RoleSemigroup(
@@ -217,8 +227,9 @@ def multiplication_table(s):
     render as "0".
     """
     idxs = s.nonzero_indices()
-    labels = [s.word_label(i) for i in idxs]
-    grid = [[s.display_label(s.cayley[i][j]) for j in idxs] for i in idxs]
+    shown = [s.display_label(i) for i in range(len(s))]
+    labels = [shown[i] for i in idxs]
+    grid = [[shown[s.cayley[i][j]] for j in idxs] for i in idxs]
     return labels, grid
 
 
@@ -229,6 +240,11 @@ def render_table_csv(s):
     for label, row in zip(labels, grid):
         lines.append(",".join([label] + row))
     return "\n".join(lines) + "\n"
+
+
+def _distinct_generators(s):
+    # the distinct generator elements are discovered first, as 0..u-1
+    return range(len(set(s.generator_elements)))
 
 
 # ── congruences and quotients ────────────────────────────────────────────────
@@ -262,13 +278,14 @@ class ElementCongruence:
         return tuple(tuple(c) for c in out)
 
     def is_compatible(self):
+        """Compatibility with the generators, which implies it with every element."""
         cay = self.base.cayley
         b = self.block_of
-        cls = self.classes()
-        for c in cls:
+        gens = _distinct_generators(self.base)
+        for c in self.classes():
             rep = c[0]
             for other in c[1:]:
-                for x in range(len(b)):
+                for x in gens:
                     if b[cay[x][rep]] != b[cay[x][other]]:
                         return False
                     if b[cay[rep][x]] != b[cay[other][x]]:
@@ -279,8 +296,10 @@ class ElementCongruence:
 def congruence_closure(s, pairs):
     """Least congruence on s containing the given element-index pairs.
 
-    Worklist saturation: whenever two classes merge, all their left and right
-    multiples are re-queued until nothing changes.
+    Worklist saturation: whenever two classes merge, their left and right
+    multiples by the generators are re-queued until nothing changes.  Every
+    element is a product of generators, so the result is compatible with all
+    elements.
     """
     m = len(s.elements)
     parent = list(range(m))
@@ -298,15 +317,16 @@ def congruence_closure(s, pairs):
         queue.append((a, b))
 
     cay = s.cayley
+    gens = _distinct_generators(s)
     while queue:
         a, b = queue.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
         parent[rb] = ra
-        for x in range(m):
-            queue.append((cay[x][ra], cay[x][rb]))
-            queue.append((cay[ra][x], cay[rb][x]))
+        for g in gens:
+            queue.append((cay[g][ra], cay[g][rb]))
+            queue.append((cay[ra][g], cay[rb][g]))
 
     return ElementCongruence(s, [find(i) for i in range(m)])
 
@@ -379,11 +399,9 @@ def quotient_semigroup(s, congruence):
     classes = congruence.classes()
     b = congruence.block_of
     reps = [c[0] for c in classes]
+    if not congruence.is_compatible():
+        raise InvariantViolation("element classes are not a congruence")
     qcay = [[b[s.cayley[ri][rj]] for rj in reps] for ri in reps]
-    for i in range(len(s.elements)):
-        for j in range(len(s.elements)):
-            if b[s.cayley[i][j]] != qcay[b[i]][b[j]]:
-                raise InvariantViolation("element classes are not a congruence")
     labels = []
     for c in classes:
         members = [s.display_label(i) for i in c]
@@ -428,7 +446,10 @@ def generator_induced_hom(src, dst):
                 dst.word_label(dst.generator_elements[i]),
             )
 
-    for i in range(len(src.elements)):
+    # a failure of the hom law anywhere implies one in a generator row (by
+    # induction on word length), and those rows come first, so scanning them
+    # alone finds the same first witness as a full row-major scan
+    for i in _distinct_generators(src):
         for j in range(len(src.elements)):
             prod = src.cayley[i][j]
             expected = dst.cayley[image[i]][image[j]]

@@ -132,3 +132,86 @@ def table_is_associative(s):
         for j in range(m)
         for k in range(m)
     )
+
+
+def naive_cayley(s, compose):
+    """The full table by one compose call per cell, looked up by element."""
+    return tuple(tuple(s.index_of(compose(x, y)) for y in s.elements) for x in s.elements)
+
+
+def naive_congruence(s, pairs):
+    """Least congruence by a fixpoint over every related pair and every multiplier."""
+    m = len(s)
+    cay = s.cayley
+    block = list(range(m))
+
+    def merge(a, b):
+        old, new = block[b], block[a]
+        if old == new:
+            return False
+        for i in range(m):
+            if block[i] == old:
+                block[i] = new
+        return True
+
+    for a, b in pairs:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(m):
+            for y in range(m):
+                if block[x] == block[y]:
+                    for z in range(m):
+                        changed |= merge(cay[z][x], cay[z][y])
+                        changed |= merge(cay[x][z], cay[y][z])
+    return block
+
+
+def naive_compatible(s, block_of):
+    """Whether related elements have related products with every element, on both sides."""
+    cay = s.cayley
+    m = len(s)
+    return all(
+        block_of[cay[z][x]] == block_of[cay[z][y]] and block_of[cay[x][z]] == block_of[cay[y][z]]
+        for x in range(m)
+        for y in range(m)
+        if block_of[x] == block_of[y]
+        for z in range(m)
+    )
+
+
+def naive_hom(src, dst):
+    """Word-evaluation map checked over every cell of the source table.
+
+    Returns ``(image, None)`` when the map is a homomorphism, else
+    ``(image, witness)`` with the first failing cell in row-major order as
+    ``(word_a, word_b, image_a, image_b)``, or the first generator whose
+    duplicates split in the target.
+    """
+    image = []
+    for word in src.words:
+        acc = dst.generator_elements[word[-1]]
+        for g in reversed(word[:-1]):
+            acc = dst.cayley[dst.generator_elements[g]][acc]
+        image.append(acc)
+    for i, e in enumerate(src.generator_elements):
+        if image[e] != dst.generator_elements[i]:
+            return image, (
+                src.word_label(e),
+                src.generator_names[i],
+                dst.word_label(image[e]),
+                dst.word_label(dst.generator_elements[i]),
+            )
+    for i in range(len(src)):
+        for j in range(len(src)):
+            prod = src.cayley[i][j]
+            expected = dst.cayley[image[i]][image[j]]
+            if image[prod] != expected:
+                return image, (
+                    src.word_label(prod),
+                    src.word_label(i) + src.word_label(j),
+                    dst.word_label(image[prod]),
+                    dst.word_label(expected),
+                )
+    return image, None

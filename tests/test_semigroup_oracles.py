@@ -1,0 +1,133 @@
+"""The Froidure–Pin table and the generator-only scans, pinned to naive oracles.
+
+Random small graph networks and F-hypergraphs are closed under every
+composition kind; each fast result must equal the full m^2 (or m^3) oracle in
+``helpers``.  Closures past a low cap are skipped.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    naive_cayley,
+    naive_compatible,
+    naive_congruence,
+    naive_hom,
+    random_multihyper,
+    random_network,
+    random_partition,
+)
+from roleblock import (
+    ElementCongruence,
+    ResourceLimitError,
+    WellDefinednessError,
+    compose_relations,
+    congruence_closure,
+    generate_closure,
+    generator_induced_hom,
+    pushforward_network,
+    quotient_map,
+    role_semigroup,
+    tight_compose,
+)
+from roleblock.fixtures import family_three, parent_grandparent_hyper
+from roleblock.semigroup import composition_for
+
+CAP = 40
+
+KINDS = [("graph", False), ("tight", False), ("loose", False), ("loose", True)]
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def random_net(rng, compose_kind):
+    n = rng.randint(1, 4)
+    k = rng.randint(1, 3)
+    if compose_kind == "graph":
+        return random_network(rng, n, k, rng.choice([0.2, 0.3, 0.45]))
+    return random_multihyper(rng, n, k)
+
+
+def closure(net, compose_kind, prune_empty):
+    try:
+        return role_semigroup(net, compose_kind, prune_empty=prune_empty, cap=CAP)
+    except ResourceLimitError:
+        assume(False)
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_table_equals_naive_table(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    assert s.cayley == naive_cayley(s, composition_for(compose_kind, prune_empty))
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_congruence_closure_equals_naive(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    m = len(s)
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 3))]
+    c = congruence_closure(s, pairs)
+    assert c.block_of == ElementCongruence(s, naive_congruence(s, pairs)).block_of
+    assert c.is_compatible()
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_is_compatible_equals_naive(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    block_of = [rng.randrange(rng.randint(1, len(s))) for _ in range(len(s))]
+    assert ElementCongruence(s, block_of).is_compatible() == naive_compatible(s, block_of)
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_induced_hom_equals_naive_scan(compose_kind, prune_empty, rng):
+    net = random_net(rng, compose_kind)
+    quotient = pushforward_network(net, quotient_map(random_partition(rng, net.actors)))
+    src = closure(net, compose_kind, prune_empty)
+    dst = closure(quotient, compose_kind, prune_empty)
+    image, witness = naive_hom(src, dst)
+    if witness is None:
+        assert generator_induced_hom(src, dst).image == tuple(image)
+    else:
+        with pytest.raises(WellDefinednessError) as err:
+            generator_induced_hom(src, dst)
+        e = err.value
+        assert (e.word_a, e.word_b, e.image_a, e.image_b) == witness
+
+
+def counted(compose):
+    calls = [0]
+
+    def wrapped(x, y):
+        calls[0] += 1
+        return compose(x, y)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize(
+    "net,compose",
+    [
+        (family_three(), compose_relations),
+        (parent_grandparent_hyper(), tight_compose),
+        # 365 elements
+        (random_network(random.Random(15), 5, 2, 0.25), compose_relations),
+    ],
+    ids=["family-graph", "tree-tight", "random-graph"],
+)
+def test_closure_composes_once_per_generator_and_element(net, compose):
+    op, calls = counted(compose)
+    generators = list(net.relations.items())
+    s = generate_closure(generators, op)
+    assert calls[0] == len(generators) * len(s)
+    assert s.cayley == naive_cayley(s, compose)
