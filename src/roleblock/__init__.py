@@ -13,7 +13,6 @@ from .core import (
     MultiNetwork,
     Partition,
     Relation,
-    blockmodel_graph,
     blockmodel_network,
     coarsest_regular_bruteforce,
     compose_relations,
@@ -40,7 +39,6 @@ from .hypergraph import (
     FHyperStructure,
     MultiHypergraph,
     UndirectedHypergraph,
-    blockmodel_hypergraph,
     blockmodel_multihypergraph,
     coarsest_regular_hyper_bruteforce,
     embed_relation,
@@ -49,7 +47,6 @@ from .hypergraph import (
     is_regular_hyper,
     loose_compose,
     max_regular_hyper_partition,
-    multihypergraph_passes,
     neighbourhood,
     prune_empty_targets,
     tight_compose,
@@ -64,14 +61,10 @@ from .reduction import (
     identity_map,
     induced_role_reduction,
     kernel_partition,
-    pushforward_hyper,
     pushforward_network,
-    pushforward_relation,
     quotient_map,
     reorder_relations,
     validate_positional_reduction,
-    validate_positional_reduction_graph,
-    validate_positional_reduction_hyper,
 )
 from .semigroup import (
     DEFAULT_CAP,
@@ -80,7 +73,6 @@ from .semigroup import (
     SemigroupHom,
     TableSemigroup,
     congruence_closure,
-    find_absorbing,
     find_identity,
     generate_closure,
     generator_induced_hom,

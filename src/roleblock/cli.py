@@ -43,20 +43,15 @@ from .reduction import (
     check_functoriality,
     reorder_relations,
     validate_positional_reduction,
+    yes_no,
 )
 from .semigroup import (
     DEFAULT_CAP,
-    find_absorbing,
     find_identity,
     generator_induced_hom,
     render_table_csv,
     role_semigroup,
 )
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _load_multirelational(path):
@@ -95,17 +90,17 @@ def _cmd_check_regular(args):
             flags = []
             if mode in ("out", "both"):
                 out = is_outward_regular(rel, e)
-                flags.append(f"outward={_yn(out)}")
+                flags.append(f"outward={yes_no(out)}")
                 ok = ok and out
             if mode in ("in", "both"):
                 inw = is_inward_regular(rel, e)
-                flags.append(f"inward={_yn(inw)}")
+                flags.append(f"inward={yes_no(inw)}")
                 ok = ok and inw
             print(f"{name}: " + " ".join(flags))
     else:
         for name, h in net.relations.items():
             reg = is_regular_hyper(h, e)
-            print(f"{name}: regular={_yn(reg)}")
+            print(f"{name}: regular={yes_no(reg)}")
             ok = ok and reg
     print(f"result: {'regular' if ok else 'not regular'}")
     return 0 if ok else 1
@@ -132,11 +127,11 @@ def _cmd_blockmodel(args):
         quotient = blockmodel_multihypergraph(net, e)
     text = documents.dumps_canonical(documents.network_to_doc(quotient))
     if args.output:
-        _write_text(args.output, text)
+        documents.write_text(args.output, text)
     else:
         sys.stdout.write(text)
     if args.dot:
-        _write_text(args.dot, export_dot(quotient))
+        documents.write_text(args.dot, export_dot(quotient))
     return 0
 
 
@@ -146,7 +141,7 @@ def _cmd_roles(args):
 
     table_to_stdout = args.table == "-"
     summary_stream = sys.stderr if table_to_stdout else sys.stdout
-    zero = find_absorbing(s)
+    zero = s.absorbing
     ident = find_identity(s)
     print(f"kind: {args.compose}" + (" (prune-empty)" if args.prune_empty else ""),
           file=summary_stream)
@@ -166,7 +161,7 @@ def _cmd_roles(args):
         if table_to_stdout:
             sys.stdout.write(csv_text)
         else:
-            _write_text(args.table, csv_text)
+            documents.write_text(args.table, csv_text)
     return 0
 
 
@@ -178,12 +173,12 @@ def _cmd_induce(args):
     f = documents.load_map(args.map, src.actors, dst.actors)
 
     report = validate_positional_reduction(f, src, dst)
-    print(f"surjective: {_yn(report.surjective)}")
+    print(f"surjective: {yes_no(report.surjective)}")
     for name, v in report.preserves.items():
-        print(f"preserves[{name}]: {_yn(v)}")
+        print(f"preserves[{name}]: {yes_no(v)}")
     for name, v in report.reflects.items():
-        print(f"reflects[{name}]: {_yn(v)}")
-    print(f"blockmodel-match: {_yn(report.matches_blockmodel)}")
+        print(f"reflects[{name}]: {yes_no(v)}")
+    print(f"blockmodel-match: {yes_no(report.matches_blockmodel)}")
     print(f"validation: {'ok' if report.ok else 'failed'}")
 
     s_src = role_semigroup(src, args.compose, prune_empty=args.prune_empty, cap=args.cap)
@@ -199,7 +194,7 @@ def _cmd_induce(args):
     print("hom: well-defined")
     for i in range(len(s_src)):
         print(f"  {s_src.word_label(i)} -> {s_dst.word_label(hom.image[i])}")
-    print(f"hom surjective: {_yn(hom.is_surjective)}")
+    print(f"hom surjective: {yes_no(hom.is_surjective)}")
     return 0 if report.ok else 1
 
 
@@ -243,7 +238,7 @@ def _cmd_convert(args):
     out = MultiHypergraph(net.actors, [("H", h)])
     text = documents.dumps_canonical(documents.network_to_doc(out))
     if args.output:
-        _write_text(args.output, text)
+        documents.write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -262,10 +257,6 @@ def _cmd_oracle(args):
         e = coarsest_regular_hyper_bruteforce(net)
     sys.stdout.write(documents.dumps_canonical(documents.partition_to_doc(e)))
     return 0
-
-
-def _yn(v):
-    return "yes" if v else "no"
 
 
 # ── parser ───────────────────────────────────────────────────────────────────
@@ -312,7 +303,13 @@ def build_parser():
     p.add_argument("--words", action="store_true", help="list each element with its word")
     p.set_defaults(func=_cmd_roles)
 
-    p = sub.add_parser("induce", help="role reduction induced by an actor map")
+    p = sub.add_parser(
+        "induce",
+        help="role reduction induced by an actor map",
+        description="Validate an actor map as a positional reduction (outward "
+                    "reflection only, as with mode 'out') and report the role "
+                    "reduction it induces.",
+    )
     p.add_argument("--source", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--target", required=True)

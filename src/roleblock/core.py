@@ -6,6 +6,8 @@ this module is an immutable value: operations return fresh objects and never
 mutate their inputs.
 """
 
+from itertools import chain
+
 from .errors import ResourceLimitError, StructuralError
 
 MODES = ("out", "in", "both")
@@ -120,6 +122,17 @@ class Relation:
     def has(self, i, j):
         return bool(self.rows[i] >> j & 1)
 
+    def signature(self, i, image):
+        """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
+        return frozenset(image[j] for j in _bits(self.rows[i]))
+
+    def pushforward(self, image, target):
+        """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
+        rows = [0] * len(target)
+        for i, j in self.pairs():
+            rows[image[i]] |= 1 << image[j]
+        return Relation(target, rows)
+
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
@@ -224,8 +237,13 @@ class Partition:
         return f"Partition({self.label_blocks()!r})"
 
 
-class MultiNetwork:
-    """One actor roster carrying named binary relations, in declaration order."""
+class MultiStructure:
+    """One actor roster carrying named structures, in declaration order.
+
+    A structure is a ``Relation`` or an ``FHyperStructure``; both give
+    ``signature`` and ``pushforward``, which is all that the shared
+    regularity, refinement, blockmodel and validation code asks of them.
+    """
 
     __slots__ = ("actors", "relations")
 
@@ -248,16 +266,37 @@ class MultiNetwork:
     def names(self):
         return tuple(self.relations)
 
+    def pushforward(self, image, target):
+        """Every structure pushed forward along ``image`` onto ``target``."""
+        return type(self)(
+            target, [(name, s.pushforward(image, target)) for name, s in self.relations.items()]
+        )
+
     def __eq__(self, other):
         return (
-            isinstance(other, MultiNetwork)
+            type(other) is type(self)
             and self.actors == other.actors
             and self.relations == other.relations
             and self.names == other.names
         )
 
     def __repr__(self):
-        return f"MultiNetwork({list(self.actors.labels)!r}, {list(self.relations)!r})"
+        return f"{type(self).__name__}({list(self.actors.labels)!r}, {list(self.relations)!r})"
+
+
+class MultiNetwork(MultiStructure):
+    """Named binary relations on one roster."""
+
+    __slots__ = ()
+
+    def views(self, mode="both"):
+        """The relations ("out"), their transposes ("in") or both, transposed lazily."""
+        _check_mode(mode)
+        rels = self.relations.values()
+        return chain(
+            rels if mode != "in" else (),
+            (r.transpose() for r in rels) if mode != "out" else (),
+        )
 
 
 def _check_relation_name(name, seen):
@@ -320,56 +359,45 @@ def quotient_actor_set(e):
     return ActorSet(labels)
 
 
-def blockmodel_graph(r, e):
-    """Quotient of a relation by a partition.
-
-    Block X relates to block Y iff some member of X relates to some member
-    of Y.  Returns the quotient ActorSet together with the quotient relation.
-    """
-    r.actors.require_same(e.actors)
-    q = quotient_actor_set(e)
-    rows = [0] * len(q)
-    for i, j in r.pairs():
-        rows[e.block_of[i]] |= 1 << e.block_of[j]
-    return q, Relation(q, rows)
-
-
 def blockmodel_network(net, e):
-    """Simultaneous blockmodel of every relation in a network."""
+    """Quotient of every structure of a network by a partition.
+
+    Block X relates to block Y iff some member of X relates to some member of
+    Y: the pushforward along the quotient map, whose image is ``e.block_of``.
+    """
     net.actors.require_same(e.actors)
-    q = quotient_actor_set(e)
-    rels = []
-    for name, rel in net.relations.items():
-        rows = [0] * len(q)
-        for i, j in rel.pairs():
-            rows[e.block_of[i]] |= 1 << e.block_of[j]
-        rels.append((name, Relation(q, rows)))
-    return MultiNetwork(q, rels)
+    return net.pushforward(e.block_of, quotient_actor_set(e))
 
 
 # ── regularity checks ────────────────────────────────────────────────────────
 
-def is_outward_regular(r, e):
-    """Direct check of outward regularity.
+def signatures_agree(structures, e):
+    """True when, in every structure, all actors of a block have one signature.
 
-    For every equivalent pair (a, a') and every edge (a, b) there must be an
-    edge (a', b') with b and b' equivalent.
+    That is regularity of e: the signature of i is the block-level image of
+    its out-neighbours or targets, and two equivalent actors must see the
+    same blocks.  One pass over the edges; ``structures`` may be lazy and is
+    consumed only up to the first failure.
     """
-    r.actors.require_same(e.actors)
-    for block in e.blocks():
-        for a in block:
-            for a2 in block:
-                if a2 == a:
-                    continue
-                for b in _bits(r.rows[a]):
-                    if not (r.rows[a2] & e.block_mask(e.block_of[b])):
-                        return False
+    block_of = e.block_of
+    for s in structures:
+        s.actors.require_same(e.actors)
+        first = {}
+        for i, b in enumerate(block_of):
+            sig = s.signature(i, block_of)
+            if first.setdefault(b, sig) != sig:
+                return False
     return True
+
+
+def is_outward_regular(r, e):
+    """Equivalent actors have out-edges into the same blocks."""
+    return signatures_agree([r], e)
 
 
 def is_inward_regular(r, e):
     """Mirror of the outward check with every edge reversed."""
-    return is_outward_regular(r.transpose(), e)
+    return signatures_agree([r.transpose()], e)
 
 
 def is_regular(r, e):
@@ -378,52 +406,40 @@ def is_regular(r, e):
 
 def network_passes(net, e, mode="both"):
     """True when e passes the selected check against every relation of net."""
-    _check_mode(mode)
-    for rel in net.relations.values():
-        if mode in ("out", "both") and not is_outward_regular(rel, e):
-            return False
-        if mode in ("in", "both") and not is_inward_regular(rel, e):
-            return False
-    return True
+    return signatures_agree(net.views(mode), e)
 
 
 # ── coarsest regular partition: refinement and brute force ──────────────────
 
-def max_regular_partition(net, mode="both", seed=None):
-    """Coarsest partition refining ``seed`` that is regular for every relation.
+def refine(structures, actors, seed=None):
+    """Coarsest partition refining ``seed`` that is regular for every structure.
 
     Iterated block splitting: in each round two actors stay together only if
-    their block-level neighbour signatures agree for every relation, in the
-    direction(s) selected by ``mode``.  The fixpoint is the unique coarsest
-    regular refinement of the seed, independent of processing order.
+    they share a block and a signature in every structure.  The fixpoint is
+    the unique coarsest regular refinement of the seed, independent of
+    processing order.
     """
-    _check_mode(mode)
     if seed is None:
-        seed = Partition.universal(net.actors)
-    seed.actors.require_same(net.actors)
-    n = len(net.actors)
-    out_rows = [rel.rows for rel in net.relations.values()]
-    in_rows = [rel.transpose().rows for rel in net.relations.values()]
-
-    block_of = list(seed.block_of)
-    num_blocks = len(set(block_of))
+        seed = Partition.universal(actors)
+    seed.actors.require_same(actors)
+    structures = list(structures)
+    block_of = seed.block_of
+    num_blocks = seed.num_blocks
     while True:
         assignment = {}
         new_block_of = []
-        for i in range(n):
-            sig = [block_of[i]]
-            for rows in out_rows if mode in ("out", "both") else ():
-                sig.append(frozenset(block_of[j] for j in _bits(rows[i])))
-            for rows in in_rows if mode in ("in", "both") else ():
-                sig.append(frozenset(block_of[j] for j in _bits(rows[i])))
-            key = tuple(sig)
-            if key not in assignment:
-                assignment[key] = len(assignment)
-            new_block_of.append(assignment[key])
+        for i, b in enumerate(block_of):
+            key = (b, *(s.signature(i, block_of) for s in structures))
+            new_block_of.append(assignment.setdefault(key, len(assignment)))
         if len(assignment) == num_blocks:
-            return Partition(net.actors, new_block_of)
+            return Partition(actors, new_block_of)
         block_of = new_block_of
         num_blocks = len(assignment)
+
+
+def max_regular_partition(net, mode="both", seed=None):
+    """Coarsest regular refinement of ``seed`` for the relations selected by ``mode``."""
+    return refine(net.views(mode), net.actors, seed)
 
 
 def enumerate_partitions(actors):
@@ -456,22 +472,27 @@ def enumerate_partitions(actors):
     return gen()
 
 
-def coarsest_regular_bruteforce(net, mode="both"):
-    """Scan every partition and return the coarsest one passing the check.
+def bruteforce(structures, actors):
+    """Scan every partition and return the coarsest regular one (oracle).
 
     Ties in block count are broken by enumeration order; the discrete
     partition always passes, so a result always exists.
     """
-    _check_mode(mode)
-    n = len(net.actors)
+    structures = list(structures)
+    n = len(actors)
     if n > MAX_ORACLE_ACTORS:
         raise ResourceLimitError(
             f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
         )
     best = None
-    for p in enumerate_partitions(net.actors):
+    for p in enumerate_partitions(actors):
         if best is not None and p.num_blocks >= best.num_blocks:
             continue
-        if network_passes(net, p, mode):
+        if signatures_agree(structures, p):
             best = p
     return best
+
+
+def coarsest_regular_bruteforce(net, mode="both"):
+    """Brute-force oracle for ``max_regular_partition`` with no seed."""
+    return bruteforce(net.views(mode), net.actors)

@@ -6,6 +6,7 @@ order; saving a loaded document therefore canonicalizes it in one pass.
 """
 
 import json
+import os
 
 from .core import ActorSet, MultiNetwork, Partition, Relation
 from .errors import InputError, StructuralError
@@ -31,10 +32,23 @@ def _read(path):
         return fh.read()
 
 
-def _write(path, text):
-    # build the full text first so a failed render never leaves a partial file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def write_text(path, text):
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a fresh file beside the target, which then replaces the
+    target in one step; if anything fails, the target keeps its old content
+    and the fresh file is removed.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ── networks ─────────────────────────────────────────────────────────────────
@@ -142,7 +156,7 @@ def load_network(path):
 
 
 def save_network(net, path):
-    _write(path, dumps_canonical(network_to_doc(net)))
+    write_text(path, dumps_canonical(network_to_doc(net)))
 
 
 # ── partitions ───────────────────────────────────────────────────────────────
@@ -169,7 +183,7 @@ def load_partition(path, actors):
 
 
 def save_partition(e, path):
-    _write(path, dumps_canonical(partition_to_doc(e)))
+    write_text(path, dumps_canonical(partition_to_doc(e)))
 
 
 # ── actor maps ───────────────────────────────────────────────────────────────

@@ -8,14 +8,14 @@ actor having no hyperedges at all.
 """
 
 from .core import (
-    MAX_ORACLE_ACTORS,
-    Partition,
+    MultiStructure,
     Relation,
-    _check_relation_name,
-    enumerate_partitions,
-    quotient_actor_set,
+    blockmodel_network,
+    bruteforce,
+    refine,
+    signatures_agree,
 )
-from .errors import ResourceLimitError, StructuralError
+from .errors import StructuralError
 
 
 class FHyperStructure:
@@ -80,6 +80,17 @@ class FHyperStructure:
     def has_empty_target(self):
         return any(() in family for family in self.targets)
 
+    def signature(self, i, image):
+        """The images under ``image`` of i's target sets, as sorted index tuples."""
+        return frozenset(tuple(sorted({image[j] for j in t})) for t in self.targets[i])
+
+    def pushforward(self, image, target):
+        """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
+        fams = [set() for _ in range(len(target))]
+        for a in range(len(self.actors)):
+            fams[image[a]] |= self.signature(a, image)
+        return FHyperStructure(target, fams)
+
     def __eq__(self, other):
         return (
             isinstance(other, FHyperStructure)
@@ -133,40 +144,16 @@ class UndirectedHypergraph:
         return f"UndirectedHypergraph({self.label_hyperedges()!r})"
 
 
-class MultiHypergraph:
-    """One actor roster carrying named F-hypergraph structures, in declaration order."""
+class MultiHypergraph(MultiStructure):
+    """Named F-hypergraph structures on one roster."""
 
-    __slots__ = ("actors", "relations")
+    __slots__ = ()
 
-    def __init__(self, actors, relations):
-        items = list(relations.items()) if isinstance(relations, dict) else list(relations)
-        seen = set()
-        rels = {}
-        for name, h in items:
-            _check_relation_name(name, seen)
-            h.actors.require_same(actors)
-            rels[name] = h
-        self.actors = actors
-        self.relations = rels
-
-    @property
-    def k(self):
-        return len(self.relations)
-
-    @property
-    def names(self):
-        return tuple(self.relations)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiHypergraph)
-            and self.actors == other.actors
-            and self.relations == other.relations
-            and self.names == other.names
-        )
-
-    def __repr__(self):
-        return f"MultiHypergraph({list(self.actors.labels)!r}, {list(self.relations)!r})"
+    def views(self, mode="out"):
+        """The structures; an F-structure points one way, so only "out" is accepted."""
+        if mode != "out":
+            raise StructuralError(f"mode {mode!r} applies only to graph networks")
+        return self.relations.values()
 
 
 # ── basic queries and conversions ────────────────────────────────────────────
@@ -261,104 +248,21 @@ def prune_empty_targets(h):
     )
 
 
-# ── blockmodels and regularity ───────────────────────────────────────────────
+# ── blockmodels and regularity: the shared code in ``core`` ─────────────────
 
-def blockmodel_hypergraph(h, e):
-    """Quotient structure: ([a], X) is a hyperedge iff some (a', U) of h has
-    [a'] = [a] and X = {[u] | u in U}."""
-    h.actors.require_same(e.actors)
-    q = quotient_actor_set(e)
-    fams = [set() for _ in range(len(q))]
-    for a, t in h.edges():
-        fams[e.block_of[a]].add(tuple(sorted({e.block_of[j] for j in t})))
-    return q, FHyperStructure(q, fams)
-
-
-def blockmodel_multihypergraph(mh, e):
-    """Simultaneous blockmodel of every structure in a multirelational hypergraph."""
-    mh.actors.require_same(e.actors)
-    q = quotient_actor_set(e)
-    rels = []
-    for name, h in mh.relations.items():
-        fams = [set() for _ in range(len(q))]
-        for a, t in h.edges():
-            fams[e.block_of[a]].add(tuple(sorted({e.block_of[j] for j in t})))
-        rels.append((name, FHyperStructure(q, fams)))
-    return MultiHypergraph(q, rels)
-
-
-def _targets_match(U, U2, e):
-    # every member of U has an equivalent in U2 and vice versa
-    return all(any(e.same_block(u, u2) for u2 in U2) for u in U) and all(
-        any(e.same_block(u, u2) for u in U) for u2 in U2
-    )
+blockmodel_multihypergraph = blockmodel_network
 
 
 def is_regular_hyper(h, e):
-    """Direct check of hypergraph regularity.
-
-    For every equivalent pair (a, a') and every hyperedge (a, U) there must be
-    a hyperedge (a', U') whose target matches U member-for-member up to e,
-    in both directions.
-    """
-    h.actors.require_same(e.actors)
-    for block in e.blocks():
-        for a in block:
-            for a2 in block:
-                if a2 == a:
-                    continue
-                for U in h.targets[a]:
-                    if not any(_targets_match(U, U2, e) for U2 in h.targets[a2]):
-                        return False
-    return True
-
-
-def multihypergraph_passes(mh, e):
-    return all(is_regular_hyper(h, e) for h in mh.relations.values())
+    """Equivalent actors have the same family of block-level target sets."""
+    return signatures_agree([h], e)
 
 
 def max_regular_hyper_partition(mh, seed=None):
-    """Coarsest partition refining ``seed`` that is regular for every structure.
-
-    Same splitting scheme as for graphs, with the signature of an actor being
-    its family of block-level target sets per structure.
-    """
-    if seed is None:
-        seed = Partition.universal(mh.actors)
-    seed.actors.require_same(mh.actors)
-    n = len(mh.actors)
-    structures = list(mh.relations.values())
-
-    block_of = list(seed.block_of)
-    num_blocks = len(set(block_of))
-    while True:
-        assignment = {}
-        new_block_of = []
-        for i in range(n):
-            sig = [block_of[i]]
-            for h in structures:
-                sig.append(frozenset(frozenset(block_of[j] for j in t) for t in h.targets[i]))
-            key = tuple(sig)
-            if key not in assignment:
-                assignment[key] = len(assignment)
-            new_block_of.append(assignment[key])
-        if len(assignment) == num_blocks:
-            return Partition(mh.actors, new_block_of)
-        block_of = new_block_of
-        num_blocks = len(assignment)
+    """Coarsest partition refining ``seed`` that is regular for every structure."""
+    return refine(mh.views(), mh.actors, seed)
 
 
 def coarsest_regular_hyper_bruteforce(mh):
     """Scan every partition and return the coarsest regular one (oracle)."""
-    n = len(mh.actors)
-    if n > MAX_ORACLE_ACTORS:
-        raise ResourceLimitError(
-            f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
-        )
-    best = None
-    for p in enumerate_partitions(mh.actors):
-        if best is not None and p.num_blocks >= best.num_blocks:
-            continue
-        if multihypergraph_passes(mh, p):
-            best = p
-    return best
+    return bruteforce(mh.views(), mh.actors)

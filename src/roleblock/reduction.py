@@ -8,14 +8,8 @@ separately so a failing map can be diagnosed.
 
 from dataclasses import dataclass, field
 
-from .core import (
-    MultiNetwork,
-    Partition,
-    Relation,
-    _bits,
-)
+from .core import Partition, quotient_actor_set
 from .errors import InvariantViolation, NotAReductionError, StructuralError, WellDefinednessError
-from .hypergraph import FHyperStructure, MultiHypergraph
 from .semigroup import DEFAULT_CAP, SemigroupHom, generator_induced_hom, role_semigroup
 
 
@@ -42,6 +36,9 @@ class ActorMap:
             if lab not in mapping:
                 raise StructuralError(f"map is not total: no image for actor {lab!r}")
             image.append(target.resolve(mapping[lab]))
+        for key in mapping:
+            if key not in source.index:
+                raise StructuralError(f"map key {key!r} is not a source actor")
         return cls(source, target, image)
 
     @property
@@ -82,33 +79,12 @@ def identity_map(actors):
 
 def quotient_map(e):
     """The canonical map from a partition's actors onto its quotient roster."""
-    from .core import quotient_actor_set
-
     return ActorMap(e.actors, quotient_actor_set(e), e.block_of)
 
 
-# ── pushforwards ─────────────────────────────────────────────────────────────
-
-def pushforward_relation(r, f):
-    """Image relation on the target: (f(a), f(b)) for every pair (a, b)."""
-    rows = [0] * len(f.target)
-    for i, j in r.pairs():
-        rows[f.image[i]] |= 1 << f.image[j]
-    return Relation(f.target, rows)
-
-
-def pushforward_hyper(h, f):
-    """Image structure on the target: (f(a), f(U)) for every hyperedge (a, U)."""
-    fams = [set() for _ in range(len(f.target))]
-    for a, t in h.edges():
-        fams[f.image[a]].add(tuple(sorted({f.image[j] for j in t})))
-    return FHyperStructure(f.target, fams)
-
-
 def pushforward_network(net, f):
-    if isinstance(net, MultiNetwork):
-        return MultiNetwork(f.target, [(n, pushforward_relation(r, f)) for n, r in net.relations.items()])
-    return MultiHypergraph(f.target, [(n, pushforward_hyper(h, f)) for n, h in net.relations.items()])
+    """Every structure of net pushed forward along f onto f's target."""
+    return net.pushforward(f.image, f.target)
 
 
 def reorder_relations(net, names):
@@ -144,99 +120,46 @@ class ReductionReport:
         )
 
     def summary(self):
-        bits = [f"surjective={_yn(self.surjective)}"]
-        bits += [f"preserves[{n}]={_yn(v)}" for n, v in self.preserves.items()]
-        bits += [f"reflects[{n}]={_yn(v)}" for n, v in self.reflects.items()]
-        bits.append(f"blockmodel-match={_yn(self.matches_blockmodel)}")
+        bits = [f"surjective={yes_no(self.surjective)}"]
+        bits += [f"preserves[{n}]={yes_no(v)}" for n, v in self.preserves.items()]
+        bits += [f"reflects[{n}]={yes_no(v)}" for n, v in self.reflects.items()]
+        bits.append(f"blockmodel-match={yes_no(self.matches_blockmodel)}")
         return " ".join(bits)
 
 
-def _yn(v):
+def yes_no(v):
     return "yes" if v else "no"
 
 
-def _preserves_relation(f, src_rel, dst_rel):
-    return all(dst_rel.has(f.image[i], f.image[j]) for i, j in src_rel.pairs())
+def validate_positional_reduction(f, src, dst, mode="out"):
+    """Validate a candidate reduction f between two networks of one kind.
 
-
-def _reflects_relation(f, src_rel, dst_rel):
-    # every outgoing edge of f(a) must be hit by an outgoing edge of a
-    for a in range(len(f.source)):
-        for b2 in _bits(dst_rel.rows[f.image[a]]):
-            if not any(f.image[a2] == b2 for a2 in _bits(src_rel.rows[a])):
-                return False
-    return True
-
-
-def validate_positional_reduction_graph(f, src, dst, mode="out"):
-    """Validate a candidate reduction between graph networks.
-
-    ``mode="in"`` transposes every relation on both sides first, which turns
-    incoming-edge reflection into the outgoing check.  The blockmodel flag
-    recomputes dst from src and the kernel of f rather than trusting it.
+    f is a coalgebra morphism when, for every actor a, the image of a's
+    signature is exactly the signature of f(a): "preserves" is the inclusion
+    into dst, "reflects" the inclusion back.  ``mode="in"`` (graphs only)
+    transposes every relation on both sides first, which turns incoming-edge
+    reflection into the outgoing check.  The blockmodel flag recomputes dst
+    from src and f rather than trusting it.
     """
     if mode not in ("out", "in"):
         raise StructuralError(f"mode must be 'out' or 'in', got {mode!r}")
+    if type(src) is not type(dst):
+        raise StructuralError("source and target networks must be the same kind")
     f.source.require_same(src.actors)
     f.target.require_same(dst.actors)
     if set(src.names) != set(dst.names):
         raise StructuralError("source and target carry different relation names")
-
-    src_rels = dict(src.relations)
-    dst_rels = dict(dst.relations)
-    if mode == "in":
-        src_rels = {n: r.transpose() for n, r in src_rels.items()}
-        dst_rels = {n: r.transpose() for n, r in dst_rels.items()}
+    dst = reorder_relations(dst, src.names)
 
     report = ReductionReport(surjective=f.is_surjective)
-    for name in src.names:
-        report.preserves[name] = _preserves_relation(f, src_rels[name], dst_rels[name])
-        report.reflects[name] = _reflects_relation(f, src_rels[name], dst_rels[name])
-    report.matches_blockmodel = report.surjective and all(
-        pushforward_relation(src_rels[name], f) == dst_rels[name] for name in src.names
-    )
+    identity = range(len(dst.actors))
+    for name, s, d in zip(src.names, src.views(mode), dst.views(mode)):
+        theirs = [d.signature(b, identity) for b in identity]
+        ours = [s.signature(a, f.image) for a in range(len(src.actors))]
+        report.preserves[name] = all(sig <= theirs[b] for sig, b in zip(ours, f.image))
+        report.reflects[name] = all(sig >= theirs[b] for sig, b in zip(ours, f.image))
+    report.matches_blockmodel = report.surjective and pushforward_network(src, f) == dst
     return report
-
-
-def _preserves_hyper(f, src_h, dst_h):
-    for a, t in src_h.edges():
-        img = tuple(sorted({f.image[j] for j in t}))
-        if img not in dst_h.targets[f.image[a]]:
-            return False
-    return True
-
-
-def _reflects_hyper(f, src_h, dst_h):
-    # every hyperedge of f(a) must be an image of some hyperedge of a
-    for a in range(len(f.source)):
-        images = {tuple(sorted({f.image[j] for j in t})) for t in src_h.targets[a]}
-        for U in dst_h.targets[f.image[a]]:
-            if U not in images:
-                return False
-    return True
-
-
-def validate_positional_reduction_hyper(f, src, dst):
-    """Validate a candidate reduction between F-hypergraph networks."""
-    f.source.require_same(src.actors)
-    f.target.require_same(dst.actors)
-    if set(src.names) != set(dst.names):
-        raise StructuralError("source and target carry different relation names")
-
-    report = ReductionReport(surjective=f.is_surjective)
-    for name in src.names:
-        report.preserves[name] = _preserves_hyper(f, src.relations[name], dst.relations[name])
-        report.reflects[name] = _reflects_hyper(f, src.relations[name], dst.relations[name])
-    report.matches_blockmodel = report.surjective and all(
-        pushforward_hyper(src.relations[name], f) == dst.relations[name] for name in src.names
-    )
-    return report
-
-
-def validate_positional_reduction(f, src, dst, mode="out"):
-    if isinstance(src, MultiNetwork):
-        return validate_positional_reduction_graph(f, src, dst, mode=mode)
-    return validate_positional_reduction_hyper(f, src, dst)
 
 
 # ── induced role reductions ──────────────────────────────────────────────────
@@ -244,9 +167,10 @@ def validate_positional_reduction(f, src, dst, mode="out"):
 def induced_role_reduction(f, src, dst, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     """Build and verify the role reduction induced by a positional reduction.
 
-    Validates f, generates both role semigroups, constructs the
-    generator-induced homomorphism, and checks element-by-element that each
-    image is the blockmodel (pushforward along f) of its source element.
+    Validates f (outward reflection only, ``mode="out"``), generates both
+    role semigroups, constructs the generator-induced homomorphism, and checks
+    element-by-element that each image is the blockmodel (pushforward along f)
+    of its source element.
     """
     report = validate_positional_reduction(f, src, dst)
     if not report.ok:
@@ -265,9 +189,8 @@ def induced_role_reduction(f, src, dst, compose_kind, prune_empty=False, cap=DEF
     if not hom.is_surjective:
         raise InvariantViolation("induced hom is not surjective")
 
-    push = pushforward_relation if isinstance(src, MultiNetwork) else pushforward_hyper
     for i, element in enumerate(s_src.elements):
-        if s_dst.elements[hom.image[i]] != push(element, f):
+        if s_dst.elements[hom.image[i]] != element.pushforward(f.image, f.target):
             raise InvariantViolation(
                 f"image of element {s_src.word_label(i)!r} is not its blockmodel"
             )

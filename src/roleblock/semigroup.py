@@ -114,7 +114,8 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
 
     Breadth-first over words by length, then lexicographically by generator
     order, so every element carries its earliest shortest word.  Raises
-    ResourceLimitError once the closure would exceed ``cap`` elements.
+    ResourceLimitError once the closure, generators included, would exceed
+    ``cap`` elements, and InputError for a ``cap`` below 1.
 
     ``compose`` must be associative.  It is called exactly once per generator
     and element (the left Cayley graph); the Cayley table is then filled from
@@ -122,6 +123,8 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     semigroups" (1997): the row of x = g*x' is the row of the shorter suffix
     x' mapped through left multiplication by g, since (g*x')*y = g*(x'*y).
     """
+    if cap < 1:
+        raise InputError(f"cap must be at least 1, got {cap}")
     generators = list(generators)
     if not generators:
         raise InputError("at least one generator is required")
@@ -132,19 +135,23 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     words = []
     suffix = []  # suffix[x] = x' with words[x] = (words[x][0],) + words[x']; None for generators
     index = {}
-    generator_elements = []
+
+    def admit(element, word, rest):
+        if len(elements) >= cap:
+            raise ResourceLimitError(
+                f"closure exceeded the cap of {cap} elements", count=len(elements)
+            )
+        idx = index[element] = len(elements)
+        elements.append(element)
+        words.append(word)
+        suffix.append(rest)
+        return idx
+
     level = []
     for i, g in enumerate(gens):
-        if g in index:
-            generator_elements.append(index[g])
-            continue
-        idx = len(elements)
-        index[g] = idx
-        elements.append(g)
-        words.append((i,))
-        suffix.append(None)
-        generator_elements.append(idx)
-        level.append(idx)
+        if g not in index:
+            level.append(admit(g, (i,), None))
+    generator_elements = [index[g] for g in gens]
 
     # left[i][x] indexes gens[i] composed after elements[x]; levels are
     # contiguous index ranges, so appending level by level fills it by position
@@ -157,15 +164,7 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
                 product = compose(g, elements[x])
                 idx = index.get(product)
                 if idx is None:
-                    if len(elements) >= cap:
-                        raise ResourceLimitError(
-                            f"closure exceeded the cap of {cap} elements", count=len(elements)
-                        )
-                    idx = len(elements)
-                    index[product] = idx
-                    elements.append(product)
-                    words.append((i,) + words[x])
-                    suffix.append(x)
+                    idx = admit(product, (i,) + words[x], x)
                     nxt.append(idx)
                 row.append(idx)
         level = nxt
@@ -204,11 +203,6 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     return generate_closure(
         list(net.relations.items()), op, cap=cap, compose_kind=compose_kind, prune_empty=prune_empty
     )
-
-
-def find_absorbing(s):
-    """Index of the zero element (the empty structure, when it absorbs), else None."""
-    return s.absorbing
 
 
 def find_identity(s):

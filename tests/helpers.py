@@ -93,6 +93,58 @@ def loose_oracle(k, h):
     return FHyperStructure.from_edges(h.actors, edges)
 
 
+def naive_outward_regular(r, e):
+    """Pairwise check: for equivalent a, a2 and every edge (a, b), a2 has an
+    edge into b's block."""
+    n = len(r.actors)
+    for a in range(n):
+        for a2 in range(n):
+            if a2 == a or not e.same_block(a, a2):
+                continue
+            for b in range(n):
+                if r.has(a, b) and not any(
+                    r.has(a2, b2) and e.same_block(b, b2) for b2 in range(n)
+                ):
+                    return False
+    return True
+
+
+def naive_pushforward(s, f):
+    """Image of a relation or F-structure along an actor map, edge by edge."""
+    if isinstance(s, Relation):
+        return Relation.from_pairs(f.target, [(f.image[i], f.image[j]) for i, j in s.pairs()])
+    return FHyperStructure.from_edges(
+        f.target, [(f.image[a], [f.image[j] for j in t]) for a, t in s.edges()]
+    )
+
+
+def naive_preserves(f, src, dst):
+    """Every (hyper)edge of src maps onto a (hyper)edge of dst."""
+    if isinstance(src, Relation):
+        return all(dst.has(f.image[i], f.image[j]) for i, j in src.pairs())
+    for a, t in src.edges():
+        if tuple(sorted({f.image[j] for j in t})) not in dst.targets[f.image[a]]:
+            return False
+    return True
+
+
+def naive_reflects(f, src, dst):
+    """Every (hyper)edge out of f(a) is the image of a (hyper)edge out of a."""
+    n = len(f.source)
+    if isinstance(src, Relation):
+        return all(
+            any(src.has(a, a2) and f.image[a2] == b2 for a2 in range(n))
+            for a in range(n)
+            for b2 in range(len(f.target))
+            if dst.has(f.image[a], b2)
+        )
+    for a in range(n):
+        images = {tuple(sorted({f.image[j] for j in t})) for t in src.targets[a]}
+        if any(U not in images for U in dst.targets[f.image[a]]):
+            return False
+    return True
+
+
 def _match_both_ways(u_set, u2_set, e):
     forward = all(any(e.same_block(u, u2) for u2 in u2_set) for u in u_set)
     backward = all(any(e.same_block(u, u2) for u in u_set) for u2 in u2_set)

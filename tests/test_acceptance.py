@@ -27,7 +27,6 @@ from roleblock import (
     compose_relations,
     embed_relation,
     empty_relation,
-    find_absorbing,
     from_undirected,
     generator_induced_hom,
     identity_relation,
@@ -74,7 +73,7 @@ def test_01_family_role_table_exact(tmp_path, capsys):
         s = role_semigroup(family_three(), "graph")
         assert len(s) == 8
         assert len(s.nonzero_indices()) == 7
-        assert find_absorbing(s) is not None
+        assert s.absorbing is not None
         labels, grid = multiplication_table(s)
         table = {r: dict(zip(labels, row)) for r, row in zip(labels, grid)}
         assert table == FAMILY_TABLE
@@ -161,7 +160,7 @@ def test_03_mirrored_pair_negative_control(tmp_path, capsys):
         # source while the blockmodel's square is the diagonal
         words = {exc.word_a, exc.word_b}
         assert words == {"RR", "RRR"}
-        zero = src_sg.elements[find_absorbing(src_sg)]
+        zero = src_sg.elements[src_sg.absorbing]
         assert zero.is_empty
         q = dst.relations["R"]
         assert compose_relations(q, q) == identity_relation(dst.actors)
@@ -185,7 +184,7 @@ def test_04_tree_closure_counts(tmp_path, capsys):
         assert lit_square != h2
         assert lit_square.has_empty_target
         assert len(literal) == 5
-        assert find_absorbing(literal) is None
+        assert literal.absorbing is None
 
         # the pruned count through the command-line flag
         from roleblock import documents

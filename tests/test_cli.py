@@ -237,6 +237,34 @@ class TestRoles:
         assert code == 3
         assert "resource limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_an_input_error(self, files, capsys, cap):
+        _, wn, _, _ = files
+        code = main(
+            ["roles", "--network", wn("family.json", family_three()), "--compose", "graph",
+             "--cap", cap]
+        )
+        assert code == 2
+        assert "cap must be at least 1" in capsys.readouterr().err
+
+    def test_cap_bounds_the_generators_too(self, files, capsys):
+        _, _, _, wd = files
+        path = wd(
+            "net.json",
+            {
+                "kind": "graph",
+                "actors": ["a", "b"],
+                "relations": {
+                    "P": [["a", "a"], ["a", "b"], ["b", "a"], ["b", "b"]],
+                    "S": [["a", "a"], ["b", "b"]],
+                },
+            },
+        )
+        assert main(["roles", "--network", path, "--compose", "graph", "--cap", "1"]) == 3
+        assert "resource limit" in capsys.readouterr().err
+        assert main(["roles", "--network", path, "--compose", "graph", "--cap", "2"]) == 0
+        assert "elements: 2" in capsys.readouterr().out
+
     def test_compose_kind_mismatch(self, files, capsys):
         _, wn, _, _ = files
         code = main(
@@ -338,6 +366,19 @@ class TestInduce:
         assert "validation: ok" in out
         assert "hom surjective: yes" in out
 
+    def test_unknown_map_key_is_an_input_error(self, files, capsys):
+        tmp_path, _, _, wd = files
+        net = family_three_merged()
+        src, mp, dst = self._write_reduction(files, net, generations_partition(net.actors))
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["map"]["zz"] = "{a,b}"
+        mp = wd("map.json", doc)
+        code = main(
+            ["induce", "--source", src, "--map", mp, "--target", dst, "--compose", "graph"]
+        )
+        assert code == 2
+        assert "'zz' is not a source actor" in capsys.readouterr().err
+
     def test_tight_reduction_on_hypergraph(self, files, capsys):
         from roleblock.fixtures import tree_generations_partition
 
@@ -388,6 +429,19 @@ class TestFunctorCheck:
         code = main(["functor-check", "--stages", s1, s2, "--compose", "graph"])
         assert code == 1
         assert "stage validation failed" in capsys.readouterr().out
+
+    def test_unknown_map_key_is_an_input_error(self, files, capsys):
+        _, _, _, wd = files
+        from roleblock.reduction import identity_map
+
+        net = family_three_merged()
+        mapping = documents.map_to_doc(identity_map(net.actors))["map"]
+        mapping["zz"] = "a"
+        s1 = wd("s1.json", documents.stage_to_doc(net, mapping))
+        s2 = wd("s2.json", documents.stage_to_doc(net))
+        code = main(["functor-check", "--stages", s1, s2, "--compose", "graph"])
+        assert code == 2
+        assert "'zz' is not a source actor" in capsys.readouterr().err
 
     def test_missing_map(self, files, capsys):
         _, _, _, wd = files
@@ -456,6 +510,25 @@ class TestInputErrors:
         )
         assert main(["max-regular", "--network", path]) == 2
         assert "'z'" in capsys.readouterr().err
+
+    def test_failed_replace_keeps_old_output(self, files, capsys, monkeypatch):
+        tmp_path, wn, wp, _ = files
+        net = family_three_merged()
+        network = wn("net.json", net)
+        partition = wp("e.json", generations_partition(net.actors))
+        out = tmp_path / "q.json"
+        out.write_text("old")
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def fail(src, dst):
+            # an OS error that main reports with exit 2
+            raise FileNotFoundError("replace failed")
+
+        monkeypatch.setattr(documents.os, "replace", fail)
+        code = main(["blockmodel", "--network", network, "--partition", partition, "-o", str(out)])
+        assert code == 2
+        assert out.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_unwritable_table_leaves_no_partial_file(self, files, capsys):
         tmp_path, wn, _, _ = files

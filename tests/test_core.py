@@ -16,7 +16,6 @@ from roleblock import (
     Relation,
     ResourceLimitError,
     StructuralError,
-    blockmodel_graph,
     blockmodel_network,
     coarsest_regular_bruteforce,
     compose_relations,
@@ -28,6 +27,7 @@ from roleblock import (
     is_regular,
     max_regular_partition,
     network_passes,
+    quotient_actor_set,
 )
 from roleblock.fixtures import (
     family_three,
@@ -184,7 +184,7 @@ class TestIdentityAndEmpty:
     def test_blockmodel_of_empty_relation(self):
         acts = actors(4)
         e = Partition(acts, [0, 0, 1, 1])
-        _, quotient = blockmodel_graph(empty_relation(acts), e)
+        quotient = empty_relation(acts).pushforward(e.block_of, quotient_actor_set(e))
         assert quotient.is_empty
 
 
@@ -194,7 +194,8 @@ class TestBlockmodel:
     def test_single_parent_two_generations(self):
         net = single_parent_graph()
         e = Partition.from_label_blocks(net.actors, [["a"], ["b", "c"]])
-        q, rel = blockmodel_graph(net.relations["R"], e)
+        quotient = blockmodel_network(net, e)
+        q, rel = quotient.actors, quotient.relations["R"]
         assert q.labels == ("{a}", "{b,c}")
         assert rel.label_pairs() == [("{b,c}", "{a}")]
 
@@ -203,14 +204,15 @@ class TestBlockmodel:
         for _ in range(20):
             acts = actors(rng.randint(1, 5))
             r = random_relation(rng, acts, 0.3)
-            q, rel = blockmodel_graph(r, Partition.discrete(acts))
+            quotient = blockmodel_network(MultiNetwork(acts, [("R", r)]), Partition.discrete(acts))
+            q, rel = quotient.actors, quotient.relations["R"]
             assert q.labels == tuple("{%s}" % lab for lab in acts.labels)
             assert list(rel.pairs()) == list(r.pairs())
 
     def test_mirrored_pair_quotient(self):
         net = mirrored_pair_graph()
         e = mirrored_pair_partition(net.actors)
-        _, rel = blockmodel_graph(net.relations["R"], e)
+        rel = blockmodel_network(net, e).relations["R"]
         assert sorted(rel.pairs()) == [(0, 1), (1, 0)]
 
     def test_simultaneous_blockmodel(self):
@@ -233,7 +235,7 @@ class TestBlockmodel:
         # a label containing a comma can make two blocks render identically
         acts = ActorSet(["a,b", "a", "b"])
         e = Partition.from_blocks(acts, [[0], [1, 2]])
-        q, _ = blockmodel_graph(empty_relation(acts), e)
+        q = blockmodel_network(MultiNetwork(acts, [("R", empty_relation(acts))]), e).actors
         assert q.labels == ("{a,b}", "{a,b}#2")
 
 

@@ -146,6 +146,35 @@ class TestMapDocuments:
             documents.map_from_doc(doc, net.actors, net.actors)
 
 
+    def test_unknown_source_key_rejected(self):
+        net = family_three()
+        doc = {"map": {"a": "a", "b": "b", "d": "d", "zz": "a"}}
+        with pytest.raises(InputError, match="'zz' is not a source actor"):
+            documents.map_from_doc(doc, net.actors, net.actors)
+
+
+class TestWriteText:
+    def test_writes_whole_text(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        documents.write_text(path, "new\ntext\n")
+        assert path.read_bytes() == b"new\ntext\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(documents.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            documents.write_text(path, "new")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
 class TestStageDocuments:
     def test_stage_with_and_without_map(self, tmp_path):
         net = family_three()

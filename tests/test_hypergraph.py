@@ -18,7 +18,7 @@ from roleblock import (
     Partition,
     StructuralError,
     UndirectedHypergraph,
-    blockmodel_hypergraph,
+    blockmodel_multihypergraph,
     coarsest_regular_hyper_bruteforce,
     compose_relations,
     embed_relation,
@@ -233,7 +233,8 @@ class TestBlockmodelHypergraph:
     def test_tree_by_generations(self):
         mh = parent_tree_hyper()
         e = tree_generations_partition(mh.actors)
-        q, bm = blockmodel_hypergraph(mh.relations["H"], e)
+        quotient = blockmodel_multihypergraph(mh, e)
+        q, bm = quotient.actors, quotient.relations["H"]
         assert q.labels == ("{r}", "{a,b}", "{a1,a2,b1,b2}")
         assert edges_of(bm) == [
             ("{a,b}", ("{a1,a2,b1,b2}",)),
@@ -245,7 +246,7 @@ class TestBlockmodelHypergraph:
         e = Partition.from_label_blocks(
             mh.actors, [["r"], ["a"], ["b"], ["a1", "b1"], ["a2", "b2"]]
         )
-        _, bm = blockmodel_hypergraph(mh.relations["H"], e)
+        bm = blockmodel_multihypergraph(mh, e).relations["H"]
         assert edges_of(bm) == [
             ("{a}", ("{a1,b1}", "{a2,b2}")),
             ("{b}", ("{a1,b1}", "{a2,b2}")),
@@ -257,7 +258,9 @@ class TestBlockmodelHypergraph:
         for _ in range(20):
             acts = actors(rng.randint(1, 5))
             h = random_fhyper(rng, acts)
-            _, bm = blockmodel_hypergraph(h, Partition.discrete(acts))
+            bm = blockmodel_multihypergraph(
+                MultiHypergraph(acts, [("H", h)]), Partition.discrete(acts)
+            ).relations["H"]
             assert bm.targets == h.targets
 
 

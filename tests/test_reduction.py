@@ -26,8 +26,7 @@ from roleblock import (
     pushforward_network,
     quotient_map,
     role_semigroup,
-    validate_positional_reduction_graph,
-    validate_positional_reduction_hyper,
+    validate_positional_reduction,
 )
 from roleblock.fixtures import (
     family_three_merged,
@@ -55,6 +54,11 @@ class TestActorMap:
         src, dst = actors(1), actors(1)
         with pytest.raises(StructuralError, match="unknown actor"):
             ActorMap.from_labels(src, dst, {"v0": "zz"})
+
+    def test_unknown_source_key(self):
+        src, dst = actors(1), actors(1)
+        with pytest.raises(StructuralError, match="'zz' is not a source actor"):
+            ActorMap.from_labels(src, dst, {"v0": "v0", "zz": "v0"})
 
     def test_surjectivity_flag(self):
         src, dst = actors(2), actors(2)
@@ -115,7 +119,7 @@ class TestValidateGraph:
     def test_generations_reduction_validates(self):
         net = family_three_merged()
         f, dst = quotient_stage(net, generations_partition(net.actors))
-        report = validate_positional_reduction_graph(f, net, dst)
+        report = validate_positional_reduction(f, net, dst)
         assert report.ok
         assert report.surjective
         assert all(report.preserves.values())
@@ -125,7 +129,7 @@ class TestValidateGraph:
     def test_mirrored_pair_fails_reflection_only(self):
         net = mirrored_pair_graph()
         f, dst = quotient_stage(net, mirrored_pair_partition(net.actors))
-        report = validate_positional_reduction_graph(f, net, dst)
+        report = validate_positional_reduction(f, net, dst)
         assert report.surjective
         assert all(report.preserves.values())
         assert not any(report.reflects.values())
@@ -134,7 +138,7 @@ class TestValidateGraph:
 
     def test_identity_reduction(self):
         net = family_three_merged()
-        report = validate_positional_reduction_graph(identity_map(net.actors), net, net)
+        report = validate_positional_reduction(identity_map(net.actors), net, net)
         assert report.ok
 
     def test_inward_mode_transposes(self):
@@ -144,8 +148,8 @@ class TestValidateGraph:
         net = MultiNetwork(acts, [("R", Relation.from_label_pairs(acts, [("a", "b")]))])
         e = Partition.from_label_blocks(acts, [["a"], ["b", "c"]])
         f, dst = quotient_stage(net, e)
-        assert validate_positional_reduction_graph(f, net, dst, mode="out").ok
-        assert not validate_positional_reduction_graph(f, net, dst, mode="in").ok
+        assert validate_positional_reduction(f, net, dst, mode="out").ok
+        assert not validate_positional_reduction(f, net, dst, mode="in").ok
 
     def test_reflection_flag_matches_kernel_regularity(self):
         rng = random.Random(50)
@@ -153,7 +157,7 @@ class TestValidateGraph:
             net = random_network(rng, n=rng.randint(1, 5), k=rng.randint(1, 2), density=0.3)
             e = random_partition(rng, net.actors)
             f, dst = quotient_stage(net, e)
-            report = validate_positional_reduction_graph(f, net, dst)
+            report = validate_positional_reduction(f, net, dst)
             kernel_regular = network_passes(net, kernel_partition(f), "out")
             assert all(report.reflects.values()) == kernel_regular
 
@@ -162,7 +166,7 @@ class TestValidateHyper:
     def test_tree_generations_validates(self):
         mh = parent_tree_hyper()
         f, dst = quotient_stage(mh, tree_generations_partition(mh.actors))
-        report = validate_positional_reduction_hyper(f, mh, dst)
+        report = validate_positional_reduction(f, mh, dst)
         assert report.ok
 
     def test_tree_parent_split_validates(self):
@@ -171,7 +175,7 @@ class TestValidateHyper:
             mh.actors, [["r"], ["a"], ["b"], ["a1", "b1"], ["a2", "b2"]]
         )
         f, dst = quotient_stage(mh, e)
-        assert validate_positional_reduction_hyper(f, mh, dst).ok
+        assert validate_positional_reduction(f, mh, dst).ok
 
     def test_merging_root_with_parent_fails_reflection(self):
         mh = parent_tree_hyper()
@@ -179,7 +183,7 @@ class TestValidateHyper:
             mh.actors, [["r", "a"], ["b"], ["a1"], ["a2"], ["b1"], ["b2"]]
         )
         f, dst = quotient_stage(mh, e)
-        report = validate_positional_reduction_hyper(f, mh, dst)
+        report = validate_positional_reduction(f, mh, dst)
         assert report.surjective
         assert not all(report.reflects.values())
         assert not report.ok
@@ -190,11 +194,24 @@ class TestValidateHyper:
             mh = random_multihyper(rng, n=rng.randint(1, 4), k=rng.randint(1, 2))
             e = random_partition(rng, mh.actors)
             f, dst = quotient_stage(mh, e)
-            report = validate_positional_reduction_hyper(f, mh, dst)
+            report = validate_positional_reduction(f, mh, dst)
             kernel_regular = all(
                 is_regular_hyper(h, kernel_partition(f)) for h in mh.relations.values()
             )
             assert all(report.reflects.values()) == kernel_regular
+
+
+    def test_inward_mode_rejected(self):
+        mh = parent_tree_hyper()
+        f, dst = quotient_stage(mh, tree_generations_partition(mh.actors))
+        with pytest.raises(StructuralError, match="graph networks"):
+            validate_positional_reduction(f, mh, dst, mode="in")
+
+    def test_kinds_must_match(self):
+        mh = parent_tree_hyper()
+        graph = MultiNetwork(mh.actors, [("H", Relation.from_pairs(mh.actors, []))])
+        with pytest.raises(StructuralError, match="same kind"):
+            validate_positional_reduction(identity_map(mh.actors), mh, graph)
 
 
 class TestInducedRoleReduction:

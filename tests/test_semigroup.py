@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import actors, naive_cayley, random_network, table_is_associative
+from helpers import actors, naive_cayley, naive_pushforward, random_network, table_is_associative
 from roleblock import (
     ActorSet,
     ElementCongruence,
@@ -15,7 +15,6 @@ from roleblock import (
     WellDefinednessError,
     compose_relations,
     congruence_closure,
-    find_absorbing,
     find_identity,
     generate_closure,
     generator_induced_hom,
@@ -65,6 +64,12 @@ def word_eval(s, word):
     return acc
 
 
+def full_and_identity():
+    acts = actors(2)
+    full = Relation.from_pairs(acts, [(i, j) for i in range(2) for j in range(2)])
+    return MultiNetwork(acts, [("P", full), ("S", identity_relation(acts))])
+
+
 class TestGenerateClosure:
     def test_family_has_seven_nonzero_roles(self):
         s = family_semigroup()
@@ -87,7 +92,7 @@ class TestGenerateClosure:
         s = role_semigroup(parent_grandparent_hyper(), "tight")
         assert len(s.nonzero_indices()) == 3
         assert set(s.word_labels()) == {"H1", "H2", "H1H1", "H1H2"}
-        assert find_absorbing(s) is not None
+        assert s.absorbing is not None
 
     def test_tree_pruned_loose_closure(self):
         mh = parent_grandparent_hyper()
@@ -101,7 +106,7 @@ class TestGenerateClosure:
         mh = parent_grandparent_hyper()
         s = role_semigroup(mh, "loose")
         assert len(s) == 5
-        assert find_absorbing(s) is None
+        assert s.absorbing is None
         h1 = s.index_of(mh.relations["H1"])
         square = s.elements[s.cayley[h1][h1]]
         assert square != mh.relations["H2"]
@@ -134,6 +139,23 @@ class TestGenerateClosure:
             role_semigroup(family_three(), "graph", cap=3)
         assert err.value.count == 3
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(InputError, match="cap"):
+            role_semigroup(full_and_identity(), "graph", cap=cap)
+
+    def test_cap_counts_generators(self):
+        # P*P = P*S = S*P = P and S*S = S: the generators are the whole closure
+        net = full_and_identity()
+        with pytest.raises(ResourceLimitError) as err:
+            role_semigroup(net, "graph", cap=1)
+        assert err.value.count == 1
+        assert len(role_semigroup(net, "graph", cap=2)) == 2
+
+    def test_closure_of_exactly_cap_elements_succeeds(self):
+        size = len(family_semigroup())
+        assert len(role_semigroup(family_three(), "graph", cap=size)) == size
+
     def test_zero_generators_rejected(self):
         with pytest.raises(InputError):
             generate_closure([], compose_relations)
@@ -163,7 +185,7 @@ class TestGenerateClosure:
 class TestAbsorbingAndIdentity:
     def test_family_has_zero_but_no_identity(self):
         s = family_semigroup()
-        zero = find_absorbing(s)
+        zero = s.absorbing
         assert zero is not None
         assert s.elements[zero].is_empty
         assert s.word_label(zero) == "SS"
@@ -175,14 +197,14 @@ class TestAbsorbingAndIdentity:
         s = role_semigroup(net, "graph")
         assert len(s) == 1
         assert find_identity(s) == 0
-        assert find_absorbing(s) is None
+        assert s.absorbing is None
 
     def test_nonzero_idempotent_has_no_absorbing(self):
         acts = actors(2)
         net = MultiNetwork(acts, [("R", Relation.from_pairs(acts, [(0, 0)]))])
         s = role_semigroup(net, "graph")
         assert len(s) == 1
-        assert find_absorbing(s) is None
+        assert s.absorbing is None
 
 
 class TestMultiplicationTable:
@@ -221,7 +243,7 @@ class TestMultiplicationTable:
         acts = actors(2)
         net = MultiNetwork(acts, [("R", Relation.from_pairs(acts, []))])
         s = role_semigroup(net, "graph")
-        assert find_absorbing(s) == 0
+        assert s.absorbing == 0
         assert render_table_csv(s) == "*\n"
 
 
@@ -248,7 +270,7 @@ class TestCongruence:
     def test_collapsing_with_zero_swallows_the_ideal(self):
         s = family_semigroup()
         net = family_three()
-        zero = find_absorbing(s)
+        zero = s.absorbing
         c = congruence_closure(s, [(s.index_of(net.relations["P"]), zero)])
         classes = [sorted(s.word_label(i) for i in cl) for cl in c.classes()]
         assert sorted(["P", "PS", "PB", "SS"]) in classes
@@ -308,9 +330,7 @@ class TestGeneratorInducedHom:
         assert hom.holds()
         # every element maps to its blockmodel
         for i, element in enumerate(src.elements):
-            from roleblock.reduction import pushforward_relation
-
-            assert dst.elements[hom.image[i]] == pushforward_relation(element, f)
+            assert dst.elements[hom.image[i]] == naive_pushforward(element, f)
 
     def test_identity_hom(self):
         s = family_semigroup()
@@ -354,4 +374,4 @@ class TestEmptyUniverse:
         net = MultiNetwork(acts, [("R", Relation(acts, []))])
         s = role_semigroup(net, "graph")
         assert len(s) == 1
-        assert find_absorbing(s) == 0
+        assert s.absorbing == 0
