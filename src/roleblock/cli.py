@@ -39,9 +39,8 @@ from .hypergraph import (
     max_regular_hyper_partition,
 )
 from .reduction import (
-    ActorMap,
     check_functoriality,
-    reorder_relations,
+    role_closures,
     validate_positional_reduction,
     yes_no,
 )
@@ -68,14 +67,6 @@ def _resolve_mode(mode, net):
             raise InputError("--mode applies only to graph networks")
         return None
     return mode or "both"
-
-
-def _element_json(element):
-    if hasattr(element, "label_pairs"):
-        doc = sorted([a, b] for a, b in element.label_pairs())
-    else:
-        doc = [{"src": s, "tgt": list(t)} for s, t in sorted(element.label_edges())]
-    return json.dumps(doc, sort_keys=True)
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -154,7 +145,8 @@ def _cmd_roles(args):
           file=summary_stream)
     if args.words:
         for i in range(len(s)):
-            print(f"{s.word_label(i)}\t{_element_json(s.elements[i])}", file=summary_stream)
+            doc = json.dumps(documents.structure_to_doc(s.elements[i]), sort_keys=True)
+            print(f"{s.word_label(i)}\t{doc}", file=summary_stream)
 
     if args.table:
         csv_text = render_table_csv(s)
@@ -168,23 +160,14 @@ def _cmd_roles(args):
 def _cmd_induce(args):
     src = _load_multirelational(args.source)
     dst = _load_multirelational(args.target)
-    if type(src) is not type(dst):
-        raise InputError("source and target networks must be the same kind")
     f = documents.load_map(args.map, src.actors, dst.actors)
 
     report = validate_positional_reduction(f, src, dst)
-    print(f"surjective: {yes_no(report.surjective)}")
-    for name, v in report.preserves.items():
-        print(f"preserves[{name}]: {yes_no(v)}")
-    for name, v in report.reflects.items():
-        print(f"reflects[{name}]: {yes_no(v)}")
-    print(f"blockmodel-match: {yes_no(report.matches_blockmodel)}")
+    for name, v in report.flags():
+        print(f"{name}: {yes_no(v)}")
     print(f"validation: {'ok' if report.ok else 'failed'}")
 
-    s_src = role_semigroup(src, args.compose, prune_empty=args.prune_empty, cap=args.cap)
-    s_dst = role_semigroup(
-        reorder_relations(dst, src.names), args.compose, prune_empty=args.prune_empty, cap=args.cap
-    )
+    s_src, s_dst = role_closures([src, dst], args.compose, args.prune_empty, args.cap)
     try:
         hom = generator_induced_hom(s_src, s_dst)
     except WellDefinednessError as exc:
@@ -206,13 +189,10 @@ def _cmd_functor_check(args):
     if stages[-1][1] is not None:
         raise InputError(f"{args.stages[-1]}: the final stage must not carry a map")
     maps = []
-    for i, (net, mapping) in enumerate(stages[:-1]):
+    for path, (net, mapping), nxt in zip(args.stages, stages, networks[1:]):
         if mapping is None:
-            raise InputError(f"{args.stages[i]}: stage needs a 'map' onto the next stage")
-        try:
-            maps.append(ActorMap.from_labels(net.actors, networks[i + 1].actors, mapping))
-        except StructuralError as exc:
-            raise InputError(f"{args.stages[i]}: {exc}") from None
+            raise InputError(f"{path}: stage needs a 'map' onto the next stage")
+        maps.append(documents.map_from_doc({"map": mapping}, net.actors, nxt.actors, source=path))
 
     try:
         report = check_functoriality(
@@ -339,18 +319,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EngineError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,20 @@ def _check_mode(mode):
         raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def canonical_blocks(block_of):
+    """Block numbers renumbered by first occurrence, and how many blocks there are."""
+    remap = {}
+    return tuple(remap.setdefault(b, len(remap)) for b in block_of), len(remap)
+
+
+def block_lists(block_of, count):
+    """The members of each of ``count`` canonically numbered blocks, in index order."""
+    out = [[] for _ in range(count)]
+    for i, b in enumerate(block_of):
+        out[b].append(i)
+    return tuple(tuple(c) for c in out)
+
+
 class ActorSet:
     """An ordered roster of distinct actor labels; indices follow roster order."""
 
@@ -150,24 +164,15 @@ class Relation:
 class Partition:
     """A partition of an ActorSet with first-occurrence canonical block numbering."""
 
-    __slots__ = ("actors", "block_of", "_masks")
+    __slots__ = ("actors", "block_of", "num_blocks")
 
     def __init__(self, actors, block_of):
-        block_of = tuple(block_of)
+        block_of, count = canonical_blocks(block_of)
         if len(block_of) != len(actors):
             raise StructuralError(f"expected {len(actors)} block assignments, got {len(block_of)}")
-        remap = {}
-        canon = []
-        for b in block_of:
-            if b not in remap:
-                remap[b] = len(remap)
-            canon.append(remap[b])
         self.actors = actors
-        self.block_of = tuple(canon)
-        masks = [0] * len(remap)
-        for i, b in enumerate(self.block_of):
-            masks[b] |= 1 << i
-        self._masks = tuple(masks)
+        self.block_of = block_of
+        self.num_blocks = count
 
     @classmethod
     def universal(cls, actors):
@@ -197,19 +202,12 @@ class Partition:
     def from_label_blocks(cls, actors, blocks):
         return cls.from_blocks(actors, [[actors.resolve(lab) for lab in block] for block in blocks])
 
-    @property
-    def num_blocks(self):
-        return len(self._masks)
-
     def blocks(self):
-        return tuple(tuple(_bits(mask)) for mask in self._masks)
+        return block_lists(self.block_of, self.num_blocks)
 
     def label_blocks(self):
         labs = self.actors.labels
         return [[labs[i] for i in block] for block in self.blocks()]
-
-    def block_mask(self, b):
-        return self._masks[b]
 
     def same_block(self, i, j):
         return self.block_of[i] == self.block_of[j]
@@ -217,11 +215,8 @@ class Partition:
     def refines(self, other):
         """True when every block of self sits inside a single block of other."""
         self.actors.require_same(other.actors)
-        for mask in self._masks:
-            first = (mask & -mask).bit_length() - 1
-            if mask & ~other.block_mask(other.block_of[first]):
-                return False
-        return True
+        theirs = {}
+        return all(theirs.setdefault(b, c) == c for b, c in zip(self.block_of, other.block_of))
 
     def __eq__(self, other):
         return (

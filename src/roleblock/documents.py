@@ -8,7 +8,7 @@ order; saving a loaded document therefore canonicalizes it in one pass.
 import json
 import os
 
-from .core import ActorSet, MultiNetwork, Partition, Relation
+from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation
 from .errors import InputError, StructuralError
 from .hypergraph import FHyperStructure, MultiHypergraph, UndirectedHypergraph
 from .reduction import ActorMap
@@ -20,16 +20,15 @@ def dumps_canonical(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_json(text, source="<input>"):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: line {exc.lineno}: malformed JSON: {exc.msg}") from None
-
-
-def _read(path):
+def _load_json(path):
+    """The JSON document in the file at ``path``; unreadable text is an InputError."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: line {exc.lineno}: malformed JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or too long an integer
+            raise InputError(f"{path}: unreadable JSON: {exc}") from None
 
 
 def write_text(path, text):
@@ -120,27 +119,19 @@ def _parse_hyperedge(edge, name, source):
     return edge["src"], edge["tgt"]
 
 
+def structure_to_doc(s):
+    """A structure's edges: sorted [src, tgt] pairs, or {"src", "tgt"} hyperedges."""
+    if isinstance(s, Relation):
+        return sorted([a, b] for a, b in s.label_pairs())
+    return [{"src": src, "tgt": list(tgt)} for src, tgt in sorted(s.label_edges())]
+
+
 def network_to_doc(net):
-    if isinstance(net, MultiNetwork):
+    if isinstance(net, MultiStructure):
         return {
-            "kind": "graph",
+            "kind": "graph" if isinstance(net, MultiNetwork) else "fhyper",
             "actors": list(net.actors.labels),
-            "relations": {
-                name: sorted([a, b] for a, b in rel.label_pairs())
-                for name, rel in net.relations.items()
-            },
-        }
-    if isinstance(net, MultiHypergraph):
-        return {
-            "kind": "fhyper",
-            "actors": list(net.actors.labels),
-            "relations": {
-                name: [
-                    {"src": src, "tgt": list(tgt)}
-                    for src, tgt in sorted(h.label_edges())
-                ]
-                for name, h in net.relations.items()
-            },
+            "relations": {name: structure_to_doc(s) for name, s in net.relations.items()},
         }
     if isinstance(net, UndirectedHypergraph):
         return {
@@ -152,7 +143,7 @@ def network_to_doc(net):
 
 
 def load_network(path):
-    return network_from_doc(_parse_json(_read(path), source=str(path)), source=str(path))
+    return network_from_doc(_load_json(path), source=str(path))
 
 
 def save_network(net, path):
@@ -179,7 +170,7 @@ def partition_to_doc(e):
 
 
 def load_partition(path, actors):
-    return partition_from_doc(_parse_json(_read(path), source=str(path)), actors, source=str(path))
+    return partition_from_doc(_load_json(path), actors, source=str(path))
 
 
 def save_partition(e, path):
@@ -210,25 +201,17 @@ def map_to_doc(f):
 
 
 def load_map(path, source_actors, target_actors):
-    return map_from_doc(
-        _parse_json(_read(path), source=str(path)), source_actors, target_actors, source=str(path)
-    )
+    return map_from_doc(_load_json(path), source_actors, target_actors, source=str(path))
 
 
 # ── chain stages ─────────────────────────────────────────────────────────────
 
 def load_stage(path):
-    """A chain stage: a network plus, except on the last stage, a label map."""
-    doc = _parse_json(_read(path), source=str(path))
+    """A chain stage: a network plus its 'map' field as written (None on the last stage)."""
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "network" not in doc:
         raise InputError(f"{path}: stage document needs a 'network' field")
-    net = network_from_doc(doc["network"], source=str(path))
-    mapping = doc.get("map")
-    if mapping is not None and not (
-        isinstance(mapping, dict) and all(isinstance(v, str) for v in mapping.values())
-    ):
-        raise InputError(f"{path}: field 'map' must be an object of label pairs")
-    return net, mapping
+    return network_from_doc(doc["network"], source=str(path)), doc.get("map")
 
 
 def stage_to_doc(net, mapping=None):

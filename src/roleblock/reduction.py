@@ -88,15 +88,23 @@ def pushforward_network(net, f):
 
 
 def reorder_relations(net, names):
-    """The same network with its relations listed in the given name order.
-
-    Generator correspondence between two networks is by name, so closures on
-    both sides must enumerate generators identically regardless of document
-    key order.
-    """
+    """The same network with its relations listed in the given name order."""
     if set(names) != set(net.names):
         raise StructuralError("networks carry different relation names")
     return type(net)(net.actors, [(name, net.relations[name]) for name in names])
+
+
+def role_closures(networks, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
+    """The role semigroup of each network, generators in the first network's name order.
+
+    Generator correspondence is by name, so every closure enumerates its
+    generators identically, whatever each document's key order.
+    """
+    names = networks[0].names
+    return [
+        role_semigroup(reorder_relations(net, names), compose_kind, prune_empty=prune_empty, cap=cap)
+        for net in networks
+    ]
 
 
 # ── validation ───────────────────────────────────────────────────────────────
@@ -112,19 +120,19 @@ class ReductionReport:
 
     @property
     def ok(self):
-        return (
-            self.surjective
-            and all(self.preserves.values())
-            and all(self.reflects.values())
-            and self.matches_blockmodel
-        )
+        return all(v for _, v in self.flags())
+
+    def flags(self):
+        """(name, verdict) pairs in report order."""
+        return [
+            ("surjective", self.surjective),
+            *((f"preserves[{n}]", v) for n, v in self.preserves.items()),
+            *((f"reflects[{n}]", v) for n, v in self.reflects.items()),
+            ("blockmodel-match", self.matches_blockmodel),
+        ]
 
     def summary(self):
-        bits = [f"surjective={yes_no(self.surjective)}"]
-        bits += [f"preserves[{n}]={yes_no(v)}" for n, v in self.preserves.items()]
-        bits += [f"reflects[{n}]={yes_no(v)}" for n, v in self.reflects.items()]
-        bits.append(f"blockmodel-match={yes_no(self.matches_blockmodel)}")
-        return " ".join(bits)
+        return " ".join(f"{name}={yes_no(v)}" for name, v in self.flags())
 
 
 def yes_no(v):
@@ -176,10 +184,7 @@ def induced_role_reduction(f, src, dst, compose_kind, prune_empty=False, cap=DEF
     if not report.ok:
         raise NotAReductionError(report)
 
-    s_src = role_semigroup(src, compose_kind, prune_empty=prune_empty, cap=cap)
-    s_dst = role_semigroup(
-        reorder_relations(dst, src.names), compose_kind, prune_empty=prune_empty, cap=cap
-    )
+    s_src, s_dst = role_closures([src, dst], compose_kind, prune_empty, cap)
     try:
         hom = generator_induced_hom(s_src, s_dst)
     except WellDefinednessError as exc:
@@ -243,9 +248,7 @@ def check_functoriality(networks, maps, compose_kind, prune_empty=False, cap=DEF
         if not composite_report.ok:
             raise NotAReductionError(composite_report)
 
-    closures = [
-        role_semigroup(net, compose_kind, prune_empty=prune_empty, cap=cap) for net in networks
-    ]
+    closures = role_closures(networks, compose_kind, prune_empty, cap)
     step_homs = [
         generator_induced_hom(closures[i], closures[i + 1]) for i in range(len(maps))
     ]

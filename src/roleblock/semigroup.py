@@ -6,7 +6,7 @@ convention in which the leftmost generator name is the last one applied, so
 the word "PS" denotes P composed after S.
 """
 
-from .core import MultiNetwork, compose_relations
+from .core import MultiNetwork, block_lists, canonical_blocks, compose_relations
 from .errors import (
     InputError,
     InvariantViolation,
@@ -246,30 +246,18 @@ def _distinct_generators(s):
 class ElementCongruence:
     """A partition of a semigroup's elements compatible with its table."""
 
-    __slots__ = ("base", "block_of")
+    __slots__ = ("base", "block_of", "num_classes")
 
     def __init__(self, base, block_of):
-        block_of = tuple(block_of)
+        block_of, count = canonical_blocks(block_of)
         if len(block_of) != len(base.elements):
             raise StructuralError("congruence must assign a class to every element")
-        remap = {}
-        canon = []
-        for b in block_of:
-            if b not in remap:
-                remap[b] = len(remap)
-            canon.append(remap[b])
         self.base = base
-        self.block_of = tuple(canon)
-
-    @property
-    def num_classes(self):
-        return len(set(self.block_of))
+        self.block_of = block_of
+        self.num_classes = count
 
     def classes(self):
-        out = [[] for _ in range(self.num_classes)]
-        for i, b in enumerate(self.block_of):
-            out[b].append(i)
-        return tuple(tuple(c) for c in out)
+        return block_lists(self.block_of, self.num_classes)
 
     def is_compatible(self):
         """Compatibility with the generators, which implies it with every element."""
@@ -364,13 +352,18 @@ class SemigroupHom:
         return set(self.image) == set(range(len(self.target)))
 
     def holds(self):
-        """Check the homomorphism law over the full tables."""
+        """Check the homomorphism law on the source's generator rows.
+
+        As in ``generator_induced_hom``, a failure anywhere implies one in a
+        generator row, by induction on word length; this asks for a generated
+        source and an associative target table.
+        """
         scay, tcay, img = self.source.cayley, self.target.cayley, self.image
-        for i in range(len(self.source)):
-            for j in range(len(self.source)):
-                if img[scay[i][j]] != tcay[img[i]][img[j]]:
-                    return False
-        return True
+        return all(
+            img[scay[g][j]] == tcay[img[g]][img[j]]
+            for g in _distinct_generators(self.source)
+            for j in range(len(self.source))
+        )
 
     def compose_with(self, other):
         """other after self; self.target must be other.source."""

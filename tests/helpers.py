@@ -267,3 +267,23 @@ def naive_hom(src, dst):
                     dst.word_label(expected),
                 )
     return image, None
+
+
+def naive_holds(hom):
+    """The homomorphism law checked over every cell of the source table."""
+    scay, tcay, img = hom.source.cayley, hom.target.cayley, hom.image
+    m = len(hom.source)
+    return all(img[scay[i][j]] == tcay[img[i]][img[j]] for i in range(m) for j in range(m))
+
+
+def naive_blocks(block_of):
+    """Index blocks in order of first occurrence, one scan of the roster per block."""
+    return tuple(
+        tuple(i for i, c in enumerate(block_of) if c == b) for b in dict.fromkeys(block_of)
+    )
+
+
+def naive_refines(fine, coarse):
+    """Whether every two indices together in ``fine`` are together in ``coarse``."""
+    n = len(fine)
+    return all(coarse[i] == coarse[j] for i in range(n) for j in range(n) if fine[i] == fine[j])

@@ -276,6 +276,15 @@ class TestRoles:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("compose,net", [("graph", family_three), ("tight", parent_tree_hyper)])
+    def test_prune_empty_needs_loose_composition(self, files, capsys, compose, net):
+        _, wn, _, _ = files
+        code = main(
+            ["roles", "--network", wn("net.json", net()), "--compose", compose, "--prune-empty"]
+        )
+        assert code == 2
+        assert "prune_empty only applies to loose composition" in capsys.readouterr().err
+
     def test_network_without_relations(self, files, capsys):
         _, _, _, wd = files
         path = wd("empty.json", {"kind": "graph", "actors": ["a"], "relations": {}})
@@ -324,7 +333,13 @@ class TestInduce:
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "validation: failed" in out
+        assert out.split("\n")[:5] == [
+            "surjective: yes",
+            "preserves[R]: yes",
+            "reflects[R]: no",
+            "blockmodel-match: yes",
+            "validation: failed",
+        ]
         assert "hom: ill-defined" in out
         assert "'RR'" in out and "'RRR'" in out
 
@@ -443,6 +458,19 @@ class TestFunctorCheck:
         assert code == 2
         assert "'zz' is not a source actor" in capsys.readouterr().err
 
+    def test_non_string_map_value_is_an_input_error(self, files, capsys):
+        _, _, _, wd = files
+        from roleblock.reduction import identity_map
+
+        net = family_three_merged()
+        mapping = documents.map_to_doc(identity_map(net.actors))["map"]
+        mapping["a"] = ["a"]
+        s1 = wd("s1.json", documents.stage_to_doc(net, mapping))
+        s2 = wd("s2.json", documents.stage_to_doc(net))
+        code = main(["functor-check", "--stages", s1, s2, "--compose", "graph"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {s1}: map entry 'a'")
+
     def test_missing_map(self, files, capsys):
         _, _, _, wd = files
         net = family_three_merged()
@@ -543,3 +571,45 @@ class TestInputErrors:
         )
         assert code == 2
         assert not target.exists()
+
+
+# Unreadable documents and paths that cannot be read or written are input
+# errors; exit 1 would read as a negative verdict.
+UNREADABLE = {
+    "network-is-a-directory": (None, ["roles", "--network", ".", "--compose", "graph"]),
+    "non-utf8": (
+        b'{"kind": "graph", "actors": ["\xff"], "relations": {}}',
+        ["max-regular", "--network", "doc.json"],
+    ),
+    "deep-nesting": (b"[" * 100_000, ["max-regular", "--network", "doc.json"]),
+    "long-integer": (
+        b'{"kind": "graph", "actors": [' + b"7" * 5000 + b'], "relations": {}}',
+        ["max-regular", "--network", "doc.json"],
+    ),
+    "output-is-a-directory": (
+        None,
+        ["blockmodel", "--network", "net.json", "--partition", "e.json", "-o", "out"],
+    ),
+    "table-is-a-directory": (
+        None,
+        ["roles", "--network", "net.json", "--compose", "graph", "--table", "out"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_or_unwritable_output_exits_two(files, capsys, monkeypatch, case):
+    tmp_path, wn, wp, _ = files
+    net = family_three_merged()
+    wn("net.json", net)
+    wp("e.json", generations_partition(net.actors))
+    (tmp_path / "out").mkdir()
+    content, argv = UNREADABLE[case]
+    if content is not None:
+        (tmp_path / "doc.json").write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     actors,
     compose_oracle,
+    naive_blocks,
+    naive_refines,
     random_network,
     random_partition,
     random_relation,
@@ -105,6 +109,25 @@ class TestPartition:
         assert not coarse.refines(fine)
         assert Partition.discrete(acts).refines(fine)
         assert fine.refines(Partition.universal(acts))
+
+    def test_empty_roster(self):
+        p = Partition(actors(0), ())
+        assert (p.blocks(), p.num_blocks, p.label_blocks()) == ((), 0, [])
+        assert p.refines(Partition.universal(actors(0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=8), st.data())
+def test_partition_blocks_and_refines_equal_naive(fine, data):
+    other = data.draw(st.lists(st.integers(0, 3), min_size=len(fine), max_size=len(fine)))
+    acts = actors(len(fine))
+    e, f = Partition(acts, fine), Partition(acts, other)
+    assert e.blocks() == naive_blocks(fine)
+    assert e.num_blocks == len(set(fine))
+    assert e.refines(f) == naive_refines(fine, other)
+    assert f.refines(e) == naive_refines(other, fine)
+    coarser = [b // 2 for b in e.block_of]
+    assert e.refines(Partition(acts, coarser)) and naive_refines(fine, coarser)
 
 
 class TestMultiNetwork:

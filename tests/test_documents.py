@@ -91,6 +91,21 @@ class TestNetworkValidation:
         with pytest.raises(InputError, match="line 3"):
             documents.load_network(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"kind": "graph", "actors": ["\xff"], "relations": {}}',
+            b"[" * 100_000,
+            b'{"kind": "graph", "actors": [' + b"7" * 5000 + b'], "relations": {}}',
+        ],
+        ids=["non-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_unreadable_text_is_an_input_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match="bad.json: unreadable JSON"):
+            documents.load_network(path)
+
     def test_malformed_hyperedge(self):
         doc = {"kind": "fhyper", "actors": ["a"], "relations": {"H": [["a"]]}}
         with pytest.raises(InputError, match="hyperedge"):

@@ -141,6 +141,32 @@ class TestValidateGraph:
         report = validate_positional_reduction(identity_map(net.actors), net, net)
         assert report.ok
 
+    def test_flags_follow_summary_order(self):
+        net = mirrored_pair_graph()
+        f, dst = quotient_stage(net, mirrored_pair_partition(net.actors))
+        report = validate_positional_reduction(f, net, dst)
+        assert report.flags() == [
+            ("surjective", True),
+            ("preserves[R]", True),
+            ("reflects[R]", False),
+            ("blockmodel-match", True),
+        ]
+        words = [bit.partition("=") for bit in report.summary().split(" ")]
+        assert [(name, v == "yes") for name, _, v in words] == report.flags()
+        rng = random.Random(53)
+        for _ in range(40):
+            net = random_network(rng, n=rng.randint(1, 4), k=rng.randint(1, 3), density=0.3)
+            f, dst = quotient_stage(net, random_partition(rng, net.actors))
+            report = validate_positional_reduction(f, net, dst)
+            words = [bit.partition("=") for bit in report.summary().split(" ")]
+            assert [(name, v == "yes") for name, _, v in words] == report.flags()
+            assert report.ok == (
+                report.surjective
+                and all(report.preserves.values())
+                and all(report.reflects.values())
+                and report.matches_blockmodel
+            )
+
     def test_inward_mode_transposes(self):
         # a -> b with c merged into b's block: outward-regular (no out-edges
         # from b or c) but not inward-regular (b has an in-edge, c does not)

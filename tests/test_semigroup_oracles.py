@@ -12,9 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    naive_blocks,
     naive_cayley,
     naive_compatible,
     naive_congruence,
+    naive_holds,
     naive_hom,
     random_multihyper,
     random_network,
@@ -23,6 +25,7 @@ from helpers import (
 from roleblock import (
     ElementCongruence,
     ResourceLimitError,
+    SemigroupHom,
     WellDefinednessError,
     compose_relations,
     congruence_closure,
@@ -30,6 +33,7 @@ from roleblock import (
     generator_induced_hom,
     pushforward_network,
     quotient_map,
+    quotient_semigroup,
     role_semigroup,
     tight_compose,
 )
@@ -103,6 +107,56 @@ def test_induced_hom_equals_naive_scan(compose_kind, prune_empty, rng):
             generator_induced_hom(src, dst)
         e = err.value
         assert (e.word_a, e.word_b, e.image_a, e.image_b) == witness
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_classes_equal_naive_blocks(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    block_of = [rng.randrange(rng.randint(1, len(s))) for _ in range(len(s))]
+    c = ElementCongruence(s, block_of)
+    assert c.classes() == naive_blocks(block_of)
+    assert c.num_classes == len(set(block_of))
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_holds_equals_full_table_scan(compose_kind, prune_empty, rng):
+    net = random_net(rng, compose_kind)
+    s = closure(net, compose_kind, prune_empty)
+    m = len(s)
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 3))]
+    _, to_quotient = quotient_semigroup(s, congruence_closure(s, pairs))
+    homs = [to_quotient, generator_induced_hom(s, s)]
+    blockmodel = pushforward_network(net, quotient_map(random_partition(rng, net.actors)))
+    dst = closure(blockmodel, compose_kind, prune_empty)
+    if naive_hom(s, dst)[1] is None:
+        homs.append(generator_induced_hom(s, dst))
+    for hom in homs:
+        assert hom.holds() and naive_holds(hom)
+        x = rng.randrange(m)
+        image = list(hom.image)
+        image[x] = rng.randrange(len(hom.target))
+        changed = SemigroupHom(s, hom.target, image)
+        assert changed.holds() == naive_holds(changed)
+    scrambled = SemigroupHom(s, dst, [rng.randrange(len(dst)) for _ in range(m)])
+    assert scrambled.holds() == naive_holds(scrambled)
+
+
+def test_holds_is_false_on_an_image_with_one_entry_changed():
+    s = role_semigroup(family_three(), "graph")
+    identity = generator_induced_hom(s, s)
+    assert identity.holds()
+    for x in range(len(s)):
+        for y in range(len(s)):
+            if y != x:
+                image = list(identity.image)
+                image[x] = y
+                changed = SemigroupHom(s, s, image)
+                assert not changed.holds()
+                assert not naive_holds(changed)
 
 
 def counted(compose):
