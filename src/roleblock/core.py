@@ -140,6 +140,10 @@ class Relation:
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
         return frozenset(image[j] for j in _bits(self.rows[i]))
 
+    def support(self, i):
+        """The actors that i's signature reads: its out-neighbours."""
+        return _bits(self.rows[i])
+
     def pushforward(self, image, target):
         """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
         rows = [0] * len(target)
@@ -236,8 +240,9 @@ class MultiStructure:
     """One actor roster carrying named structures, in declaration order.
 
     A structure is a ``Relation`` or an ``FHyperStructure``; both give
-    ``signature`` and ``pushforward``, which is all that the shared
-    regularity, refinement, blockmodel and validation code asks of them.
+    ``signature``, ``support`` and ``pushforward``, which is all that the
+    shared regularity, refinement, blockmodel and validation code asks of
+    them.
     """
 
     __slots__ = ("actors", "relations")
@@ -409,27 +414,64 @@ def network_passes(net, e, mode="both"):
 def refine(structures, actors, seed=None):
     """Coarsest partition refining ``seed`` that is regular for every structure.
 
-    Iterated block splitting: in each round two actors stay together only if
-    they share a block and a signature in every structure.  The fixpoint is
-    the unique coarsest regular refinement of the seed, independent of
-    processing order.
+    Worklist refinement after Paige & Tarjan, with Hopcroft's "all but the
+    largest piece" rule.  The first round signs every actor.  A later round
+    re-signs only the actors whose ``support`` in some structure holds an
+    actor that moved in the round before; any other actor reads the same
+    block numbers as before, so its signature is unchanged.
+
+    A round splits each block it touched into its untouched members, as one
+    piece, and one piece per signature among its touched members.  No touched
+    member has the untouched members' signature: it reads a moved actor, and a
+    moved actor's block number is newer than any block the untouched members
+    read.  The largest piece keeps the block's number; every other piece takes
+    a fresh number and its members move.  An actor therefore moves only into a
+    piece at most half its old block, so at most log2 n times, and an actor is
+    re-signed once per move of an actor it reads.
+
+    The fixpoint is the unique coarsest regular refinement of the seed, so
+    the canonically numbered result does not depend on processing order.
     """
     if seed is None:
         seed = Partition.universal(actors)
     seed.actors.require_same(actors)
     structures = list(structures)
-    block_of = seed.block_of
-    num_blocks = seed.num_blocks
-    while True:
-        assignment = {}
-        new_block_of = []
-        for i, b in enumerate(block_of):
-            key = (b, *(s.signature(i, block_of) for s in structures))
-            new_block_of.append(assignment.setdefault(key, len(assignment)))
-        if len(assignment) == num_blocks:
-            return Partition(actors, new_block_of)
-        block_of = new_block_of
-        num_blocks = len(assignment)
+    readers = [[] for _ in range(len(actors))]
+    for i in range(len(actors)):
+        for j in set(chain.from_iterable(s.support(i) for s in structures)):
+            readers[j].append(i)
+    block_of = list(seed.block_of)
+    members = [set(block) for block in seed.blocks()]
+    touched = range(len(actors))
+    while touched:
+        by_block = {}
+        for i in touched:
+            by_block.setdefault(block_of[i], []).append(i)
+        moved = []
+        for b, group in by_block.items():
+            by_signature = {}
+            for i in group:
+                key = tuple(s.signature(i, block_of) for s in structures)
+                by_signature.setdefault(key, []).append(i)
+            pieces = list(by_signature.values())
+            block = members[b]
+            rest = len(block) - len(group)
+            largest = max(pieces, key=len)
+            if rest < len(largest):
+                # the untouched rest is smaller than a touched piece, so it moves
+                pieces.remove(largest)
+                if rest:
+                    pieces.append(block.difference(group))
+            for piece in pieces:
+                block.difference_update(piece)
+                moved.append((len(members), piece))
+                members.append(set(piece))
+        # renumber after the round, so that all its signatures read one numbering
+        for c, piece in moved:
+            for i in piece:
+                block_of[i] = c
+        touched = {r for _, piece in moved for i in piece for r in readers[i]}
+    return Partition(actors, block_of)
 
 
 def max_regular_partition(net, mode="both", seed=None):

@@ -36,18 +36,25 @@ def write_text(path, text):
 
     The text goes to a fresh file beside the target, which then replaces the
     target in one step; if anything fails, the target keeps its old content
-    and the fresh file is removed.
+    and the fresh file is removed.  An ``OSError`` names ``path``, not the
+    fresh file.
     """
-    head, tail = os.path.split(os.fspath(path))
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 # ── networks ─────────────────────────────────────────────────────────────────

@@ -84,6 +84,10 @@ class FHyperStructure:
         """The images under ``image`` of i's target sets, as sorted index tuples."""
         return frozenset(tuple(sorted({image[j] for j in t})) for t in self.targets[i])
 
+    def support(self, i):
+        """The actors that i's signature reads: the union of its target sets."""
+        return {j for t in self.targets[i] for j in t}
+
     def pushforward(self, image, target):
         """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
         fams = [set() for _ in range(len(target))]

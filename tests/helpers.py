@@ -276,6 +276,28 @@ def naive_holds(hom):
     return all(img[scay[i][j]] == tcay[img[i]][img[j]] for i in range(m) for j in range(m))
 
 
+def naive_refine(structures, actors, seed=None):
+    """Coarsest regular refinement of ``seed`` by rounds that re-sign every actor.
+
+    Each round keeps two actors together only if they share a block and a
+    signature in every structure; the loop stops at the first round that
+    splits nothing.
+    """
+    structures = list(structures)
+    seed = seed or Partition.universal(actors)
+    block_of, num_blocks = seed.block_of, seed.num_blocks
+    while True:
+        assignment = {}
+        new_block_of = []
+        for i, b in enumerate(block_of):
+            key = (b, *(s.signature(i, block_of) for s in structures))
+            new_block_of.append(assignment.setdefault(key, len(assignment)))
+        if len(assignment) == num_blocks:
+            return Partition(actors, new_block_of)
+        block_of = new_block_of
+        num_blocks = len(assignment)
+
+
 def naive_blocks(block_of):
     """Index blocks in order of first occurrence, one scan of the roster per block."""
     return tuple(

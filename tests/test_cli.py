@@ -613,3 +613,32 @@ def test_unreadable_input_or_unwritable_output_exits_two(files, capsys, monkeypa
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+
+
+BLOCKMODEL = ["blockmodel", "--network", "net.json", "--partition", "e.json"]
+ROLES = ["roles", "--network", "net.json", "--compose", "graph"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BLOCKMODEL + ["-o", "out"],
+        BLOCKMODEL + ["-o", "nodir/q.json"],
+        BLOCKMODEL + ["--dot", "nodir/q.dot"],
+        ROLES + ["--table", "nodir/t.csv"],
+    ],
+    ids=["o-directory", "o-missing-dir", "dot-missing-dir", "table-missing-dir"],
+)
+def test_unwritable_output_error_names_the_given_path(files, capsys, monkeypatch, argv):
+    tmp_path, wn, wp, _ = files
+    net = family_three_merged()
+    wn("net.json", net)
+    wp("e.json", generations_partition(net.actors))
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{argv[-1]}'" in err
+    assert ".tmp" not in err
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before

@@ -1,9 +1,11 @@
 """The shared signature code, pinned to naive oracles for both kinds.
 
 Regularity, refinement, blockmodels and reduction validation are written once
-over ``signature`` and ``pushforward``; each result on random relations and
-F-structures (n <= 6) must equal the pairwise or edge-by-edge oracle in
-``helpers`` or the brute-force search.
+over ``signature``, ``support`` and ``pushforward``; each result on random
+relations and F-structures (n <= 6) must equal the pairwise or edge-by-edge
+oracle in ``helpers`` or the brute-force search.  Seeded refinement is pinned
+to the round-based ``naive_refine`` up to n = 24, beyond brute force's reach,
+and its signature calls are counted on paths and chains.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     naive_outward_regular,
     naive_preserves,
     naive_pushforward,
+    naive_refine,
     naive_reflects,
     pp_bisimulation_oracle,
     random_multihyper,
@@ -26,6 +29,8 @@ from helpers import (
 from roleblock import (
     ActorMap,
     MultiNetwork,
+    Partition,
+    Relation,
     blockmodel_multihypergraph,
     blockmodel_network,
     coarsest_regular_bruteforce,
@@ -40,6 +45,7 @@ from roleblock import (
     quotient_map,
     validate_positional_reduction,
 )
+from roleblock.core import refine
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -101,6 +107,65 @@ def test_graph_refinement_equals_bruteforce(mode, rng):
 def test_hyper_refinement_equals_bruteforce(rng):
     mh = hyper(rng)
     assert max_regular_hyper_partition(mh) == coarsest_regular_hyper_bruteforce(mh)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_seeded_graph_refinement_equals_naive_rounds(mode, rng):
+    net = random_network(rng, rng.randint(0, 24), rng.randint(1, 3), rng.choice([0.04, 0.1, 0.2, 0.4]))
+    seed = random_partition(rng, net.actors) if rng.random() < 0.7 else None
+    expected = naive_refine(net.views(mode), net.actors, seed)
+    assert max_regular_partition(net, mode=mode, seed=seed) == expected
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_seeded_hyper_refinement_equals_naive_rounds(rng):
+    # target sets of size 0 occur, so empty targets are covered
+    mh = random_multihyper(rng, rng.randint(0, 24), rng.randint(1, 2), max_target=3)
+    seed = random_partition(rng, mh.actors) if rng.random() < 0.7 else None
+    assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+
+
+class CountedSignatures:
+    """A structure that forwards to another and counts its ``signature`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def signature(self, i, image):
+        self.calls += 1
+        return self.inner.signature(i, image)
+
+    def support(self, i):
+        return self.inner.support(i)
+
+
+def chains(count, length):
+    """``count`` disjoint directed paths of ``length`` actors each."""
+    acts = actors(count * length)
+    return Relation.from_pairs(
+        acts, [(c * length + i, c * length + i + 1) for c in range(count) for i in range(length - 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "count,length", [(1, 2000), (2, 280)], ids=["path-2000", "two-280-link-chains"]
+)
+@pytest.mark.parametrize("mode", ["out", "in"])
+def test_refinement_signs_each_actor_about_twice(count, length, mode):
+    r = chains(count, length)
+    counted = CountedSignatures(r if mode == "out" else r.transpose())
+    got = refine([counted], r.actors)
+    n = count * length
+    # round-based refinement re-signs every actor in each of ``length`` rounds
+    assert counted.calls <= 2 * n + 8
+    # an actor's class is its distance to its chain's end (out) or start (in)
+    assert got == Partition(
+        r.actors, [length - 1 - i if mode == "out" else i for _ in range(count) for i in range(length)]
+    )
 
 
 def random_map(rng, src, dst_actors):
