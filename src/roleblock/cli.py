@@ -7,6 +7,7 @@ to standard error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -250,6 +251,7 @@ def _add_compose_options(sub):
 
 
 def build_parser():
+    """A fresh parser for the ``roleblock`` command, for callers who extend it."""
     parser = argparse.ArgumentParser(
         prog="roleblock",
         description="Role and positional analysis of multirelational networks "
@@ -315,8 +317,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one ``roleblock`` command on ``argv`` and return its exit code.
+
+    ``main`` may be called any number of times in one process.  It builds its
+    parser once, on the first call, and reuses it: parsing keeps no state in
+    the parser, so each call sees only its own arguments and defaults.
+    ``build_parser()`` returns a fresh parser for callers who want to extend it.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, StructuralError, OSError) as exc:

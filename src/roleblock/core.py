@@ -6,6 +6,7 @@ this module is an immutable value: operations return fresh objects and never
 mutate their inputs.
 """
 
+from collections import Counter
 from itertools import chain
 
 from .errors import ResourceLimitError, StructuralError
@@ -52,11 +53,12 @@ class ActorSet:
         for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise StructuralError(f"actor labels must be non-empty strings, got {lab!r}")
-        if len(set(labels)) != len(labels):
-            dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
+            dupes = sorted(lab for lab, count in Counter(labels).items() if count > 1)
             raise StructuralError(f"duplicate actor labels: {', '.join(dupes)}")
         self.labels = labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
+        self.index = index
 
     def __len__(self):
         return len(self.labels)
@@ -91,9 +93,9 @@ class Relation:
         n = len(actors)
         if len(rows) != n:
             raise StructuralError(f"expected {n} rows, got {len(rows)}")
-        full = (1 << n) - 1
+        outside = ~((1 << n) - 1)
         for row in rows:
-            if row & ~full:
+            if row & outside:
                 raise StructuralError("relation row refers to an actor index >= n")
         self.actors = actors
         self.rows = rows

@@ -3,6 +3,13 @@
 One canonical serialization: keys sorted, edges deduplicated and sorted,
 actors kept in roster order.  Loading tolerates duplicate edges and any key
 order; saving a loaded document therefore canonicalizes it in one pass.
+
+Loading a network checks each edge's shape, resolves its labels and stores it
+in one pass, straight into the relation's rows or the canonical target tuples.
+Its errors come in a fixed order, the order of a shape pass followed by a
+label pass: relations one after another; within a relation, a malformed edge
+anywhere before the first unknown label; relation names only once every
+relation has been read.
 """
 
 import json
@@ -77,27 +84,17 @@ def network_from_doc(doc, source="<input>"):
         edges = doc.get("hyperedges")
         if not isinstance(edges, list):
             raise InputError(f"{source}: field 'hyperedges' must be a list of label lists")
-        try:
-            return UndirectedHypergraph.from_label_edges(actors, edges)
-        except StructuralError as exc:
-            raise InputError(f"{source}: {exc}") from None
+        return _undirected(actors, edges, source)
 
     relations = doc.get("relations")
     if not isinstance(relations, dict):
         raise InputError(f"{source}: field 'relations' must be an object")
+    decode = _relation if kind == "graph" else _hyper_structure
     parsed = []
     for name, edges in relations.items():
         if not isinstance(edges, list):
             raise InputError(f"{source}: relation {name!r}: edges must be a list")
-        try:
-            if kind == "graph":
-                pairs = [_parse_pair(e, name, source) for e in edges]
-                parsed.append((name, Relation.from_label_pairs(actors, pairs)))
-            else:
-                records = [_parse_hyperedge(e, name, source) for e in edges]
-                parsed.append((name, FHyperStructure.from_label_edges(actors, records)))
-        except StructuralError as exc:
-            raise InputError(f"{source}: relation {name!r}: {exc}") from None
+        parsed.append((name, decode(actors, edges, f"{source}: relation {name!r}")))
     try:
         if kind == "graph":
             return MultiNetwork(actors, parsed)
@@ -106,24 +103,76 @@ def network_from_doc(doc, source="<input>"):
         raise InputError(f"{source}: {exc}") from None
 
 
-def _parse_pair(edge, name, source):
-    if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(x, str) for x in edge)):
-        raise InputError(f"{source}: relation {name!r}: edge {edge!r} is not a [src, tgt] pair")
-    return edge[0], edge[1]
+# The two relation decoders report a malformed edge at once, but hold the first
+# unknown label until every edge's shape has been checked: a malformed edge
+# anywhere in the relation is reported in its place.
+
+def _relation(actors, edges, where):
+    index = actors.index
+    rows = [0] * len(actors)
+    unknown = None
+    for edge in edges:
+        if not (
+            isinstance(edge, list) and len(edge) == 2
+            and isinstance(edge[0], str) and isinstance(edge[1], str)
+        ):
+            raise InputError(f"{where}: edge {edge!r} is not a [src, tgt] pair")
+        if unknown is None:
+            a, b = edge
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                unknown = a if i is None else b
+            else:
+                rows[i] |= 1 << j
+    if unknown is not None:
+        raise InputError(f"{where}: unknown actor {unknown!r}")
+    return Relation(actors, rows)
 
 
-def _parse_hyperedge(edge, name, source):
-    if (
-        not isinstance(edge, dict)
-        or not isinstance(edge.get("src"), str)
-        or not isinstance(edge.get("tgt"), list)
-        or not all(isinstance(x, str) for x in edge["tgt"])
-    ):
-        raise InputError(
-            f"{source}: relation {name!r}: hyperedge {edge!r} must be "
-            '{"src": label, "tgt": [labels]}'
-        )
-    return edge["src"], edge["tgt"]
+def _hyper_structure(actors, edges, where):
+    index = actors.index
+    families = {}
+    unknown = None
+    for edge in edges:
+        src, tgt = (edge.get("src"), edge.get("tgt")) if isinstance(edge, dict) else (None, None)
+        if not (
+            isinstance(src, str) and isinstance(tgt, list)
+            and all(isinstance(x, str) for x in tgt)
+        ):
+            raise InputError(
+                f"{where}: hyperedge {edge!r} must be "
+                '{"src": label, "tgt": [labels]}'
+            )
+        if unknown is None:
+            a = index.get(src)
+            members = [index.get(x) for x in tgt]
+            if a is None or None in members:
+                unknown = src if a is None else tgt[members.index(None)]
+            else:
+                families.setdefault(a, set()).add(tuple(sorted(set(members))))
+    if unknown is not None:
+        raise InputError(f"{where}: unknown actor {unknown!r}")
+    targets = [()] * len(actors)
+    for a, family in families.items():
+        targets[a] = tuple(sorted(family))
+    return FHyperStructure.from_canonical(actors, tuple(targets))
+
+
+def _undirected(actors, edges, source):
+    """The canonical hypergraph; the first hyperedge that is not a list of actors is reported."""
+    index = actors.index
+    canon = set()
+    for edge in edges:
+        if not isinstance(edge, list):
+            raise InputError(f"{source}: hyperedge {edge!r} is not a list of labels")
+        members = set()
+        for x in edge:
+            j = index.get(x) if isinstance(x, str) else None
+            if j is None:
+                raise InputError(f"{source}: unknown actor {x!r}")
+            members.add(j)
+        canon.add(tuple(sorted(members)))
+    return UndirectedHypergraph.from_canonical(actors, tuple(sorted(canon)))
 
 
 def structure_to_doc(s):

@@ -42,6 +42,19 @@ class FHyperStructure:
         self.targets = tuple(canon)
 
     @classmethod
+    def from_canonical(cls, actors, targets):
+        """Wrap ``targets`` already in canonical form, without checking them.
+
+        ``targets`` must be a tuple with one sorted tuple of distinct sorted
+        index tuples per actor, every index in range: what ``__init__``
+        would store.
+        """
+        h = object.__new__(cls)
+        h.actors = actors
+        h.targets = targets
+        return h
+
+    @classmethod
     def from_edges(cls, actors, edges):
         """Build from (source index, target index iterable) hyperedges."""
         fams = [[] for _ in range(len(actors))]
@@ -125,6 +138,18 @@ class UndirectedHypergraph:
             edges.add(edge)
         self.actors = actors
         self.hyperedges = tuple(sorted(edges))
+
+    @classmethod
+    def from_canonical(cls, actors, hyperedges):
+        """Wrap ``hyperedges`` already in canonical form, without checking them.
+
+        ``hyperedges`` must be a sorted tuple of distinct sorted index tuples,
+        every index in range: what ``__init__`` would store.
+        """
+        u = object.__new__(cls)
+        u.actors = actors
+        u.hyperedges = hyperedges
+        return u
 
     @classmethod
     def from_label_edges(cls, actors, hyperedges):

@@ -8,11 +8,15 @@ the library implementations they check.
 from roleblock import (
     ActorSet,
     FHyperStructure,
+    InputError,
     MultiHypergraph,
     MultiNetwork,
     Partition,
     Relation,
+    StructuralError,
+    UndirectedHypergraph,
 )
+from roleblock.documents import KINDS
 
 
 def actors(n, prefix="v"):
@@ -309,3 +313,75 @@ def naive_refines(fine, coarse):
     """Whether every two indices together in ``fine`` are together in ``coarse``."""
     n = len(fine)
     return all(coarse[i] == coarse[j] for i in range(n) for j in range(n) if fine[i] == fine[j])
+
+
+def naive_network_from_doc(doc, source="<input>"):
+    """A network document decoded in three passes over each relation's edges.
+
+    Every edge's shape is checked first, then every label is resolved, and the
+    constructors range-check and canonicalise the indices again.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{source}: document must be a JSON object")
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        raise InputError(f"{source}: field 'kind' must be one of {KINDS}, got {kind!r}")
+    actors_field = doc.get("actors")
+    if not isinstance(actors_field, list):
+        raise InputError(f"{source}: field 'actors' must be a list of labels")
+    try:
+        actors = ActorSet(actors_field)
+    except StructuralError as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+    if kind == "undirected":
+        edges = doc.get("hyperedges")
+        if not isinstance(edges, list):
+            raise InputError(f"{source}: field 'hyperedges' must be a list of label lists")
+        try:
+            return UndirectedHypergraph.from_label_edges(actors, edges)
+        except StructuralError as exc:
+            raise InputError(f"{source}: {exc}") from None
+
+    relations = doc.get("relations")
+    if not isinstance(relations, dict):
+        raise InputError(f"{source}: field 'relations' must be an object")
+    parsed = []
+    for name, edges in relations.items():
+        if not isinstance(edges, list):
+            raise InputError(f"{source}: relation {name!r}: edges must be a list")
+        try:
+            if kind == "graph":
+                pairs = [_naive_parse_pair(e, name, source) for e in edges]
+                parsed.append((name, Relation.from_label_pairs(actors, pairs)))
+            else:
+                records = [_naive_parse_hyperedge(e, name, source) for e in edges]
+                parsed.append((name, FHyperStructure.from_label_edges(actors, records)))
+        except StructuralError as exc:
+            raise InputError(f"{source}: relation {name!r}: {exc}") from None
+    try:
+        if kind == "graph":
+            return MultiNetwork(actors, parsed)
+        return MultiHypergraph(actors, parsed)
+    except StructuralError as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+
+def _naive_parse_pair(edge, name, source):
+    if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(x, str) for x in edge)):
+        raise InputError(f"{source}: relation {name!r}: edge {edge!r} is not a [src, tgt] pair")
+    return edge[0], edge[1]
+
+
+def _naive_parse_hyperedge(edge, name, source):
+    if (
+        not isinstance(edge, dict)
+        or not isinstance(edge.get("src"), str)
+        or not isinstance(edge.get("tgt"), list)
+        or not all(isinstance(x, str) for x in edge["tgt"])
+    ):
+        raise InputError(
+            f"{source}: relation {name!r}: hyperedge {edge!r} must be "
+            '{"src": label, "tgt": [labels]}'
+        )
+    return edge["src"], edge["tgt"]

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from roleblock import documents
+from roleblock import Partition, cli, documents
 from roleblock.cli import main
 from roleblock.fixtures import (
     coauthor_undirected,
+    fanout_pair_hyper,
     family_three,
     family_three_merged,
     generations_partition,
@@ -15,6 +16,7 @@ from roleblock.fixtures import (
     parent_tree_hyper,
     single_parent_graph,
 )
+from roleblock.reduction import identity_map
 
 # the family multiplication table under canonical (sorted) generator order
 FAMILY_CSV = """\
@@ -642,3 +644,167 @@ def test_unwritable_output_error_names_the_given_path(files, capsys, monkeypatch
     assert f"'{argv[-1]}'" in err
     assert ".tmp" not in err
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+
+
+# ── repeated calls in one process ────────────────────────────────────────────
+#
+# ``main`` builds its parser once and reuses it.  Each sequence below runs
+# through ``main`` twice: as it is, and with a fresh ``build_parser()`` per
+# call.  Every call must give the same exit code, stdout, stderr and written
+# files both times, so no call sees an option or default of the call before.
+
+
+def _call(argv, capsys, out_dir):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    out, err = capsys.readouterr()
+    written = {}
+    for path in sorted(out_dir.iterdir()):
+        written[path.name] = path.read_bytes()
+        path.unlink()
+    return code, out, err, written
+
+
+def _same_as_fresh_parsers(argvs, capsys, monkeypatch, out_dir):
+    cli._parser.cache_clear()
+    reused = [_call(argv, capsys, out_dir) for argv in argvs]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_call(argv, capsys, out_dir) for argv in argvs]
+    for argv, got, expected in zip(argvs, reused, fresh):
+        assert got == expected, argv
+    return [code for code, *_ in reused]
+
+
+@pytest.fixture
+def reentry(files, capsys, monkeypatch):
+    tmp_path, wn, wp, wd = files
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    paths = {
+        "family": wn("family.json", family_three_merged()),
+        "tree": wn("tree.json", parent_grandparent_hyper()),
+        "e": wp("e.json", generations_partition(family_three_merged().actors)),
+    }
+
+    def run(argvs):
+        return _same_as_fresh_parsers(argvs, capsys, monkeypatch, out_dir)
+
+    return run, paths, out_dir, files
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert main(["oracle", "partitions", "--network", "missing.json"]) == 2
+        with pytest.raises(SystemExit):
+            main(["roles"])
+        assert main(["oracle", "coarsest", "--network", "missing.json"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+    assert real() is not real()
+
+
+def test_mode_given_then_omitted(reentry):
+    run, paths, _, _ = reentry
+    family, tree, e = paths["family"], paths["tree"], paths["e"]
+    codes = run([
+        ["max-regular", "--network", family, "--mode", "out"],
+        ["max-regular", "--network", family],
+        ["max-regular", "--network", family, "--mode", "both"],
+        ["check-regular", "--network", family, "--partition", e, "--mode", "in"],
+        ["check-regular", "--network", family, "--partition", e],
+        ["max-regular", "--network", tree],
+    ])
+    assert codes == [0, 0, 0, 0, 0, 0]
+
+
+def test_mode_omitted_resolves_to_both_again(reentry, capsys):
+    run, paths, _, _ = reentry
+    family = paths["family"]
+    run([["max-regular", "--network", family, "--mode", "out"]])
+    main(["max-regular", "--network", family, "--mode", "in"])
+    capsys.readouterr()
+    assert main(["max-regular", "--network", family]) == 0
+    omitted = capsys.readouterr().out
+    assert main(["max-regular", "--network", family, "--mode", "both"]) == 0
+    assert capsys.readouterr().out == omitted
+
+
+def test_cap_given_then_default(reentry):
+    run, paths, _, _ = reentry
+    roles = ["roles", "--network", paths["family"], "--compose", "graph"]
+    assert run([roles + ["--cap", "3"], roles, roles + ["--cap", "3"]]) == [3, 0, 3]
+
+
+def test_prune_empty_and_table_then_neither(reentry):
+    run, paths, out_dir, _ = reentry
+    roles = ["roles", "--network", paths["tree"], "--compose", "loose"]
+    table = str(out_dir / "t.csv")
+    codes = run([
+        roles + ["--prune-empty", "--table", "-"],
+        roles,
+        roles + ["--prune-empty", "--table", table, "--words"],
+        roles,
+    ])
+    assert codes == [0, 0, 0, 0]
+
+
+def test_usage_error_then_valid_call(reentry):
+    run, paths, _, _ = reentry
+    family = paths["family"]
+    codes = run([
+        ["max-regular", "--network", family, "--mode", "sideways"],
+        ["max-regular", "--network", family],
+        ["roles", "--network", family],
+        ["roles", "--network", family, "--compose", "graph"],
+        ["no-such-verb"],
+        ["oracle", "coarsest", "--network", family],
+    ])
+    assert codes == ["SystemExit(2)", 0, "SystemExit(2)", 0, "SystemExit(2)", 0]
+
+
+def test_every_verb_on_the_fixtures_twice(reentry):
+    run, _, out_dir, (_, wn, wp, wd) = reentry
+    graphs = [family_three(), family_three_merged(), single_parent_graph(), mirrored_pair_graph()]
+    hypers = [parent_tree_hyper(), parent_grandparent_hyper(), fanout_pair_hyper()]
+    argvs = []
+    for k, net in enumerate(graphs + hypers):
+        path = wn(f"net{k}.json", net)
+        e = wp(f"e{k}.json", Partition.universal(net.actors))
+        ident = documents.map_to_doc(identity_map(net.actors))
+        m = wd(f"map{k}.json", ident)
+        s1 = wd(f"s{k}a.json", documents.stage_to_doc(net, ident["map"]))
+        s2 = wd(f"s{k}b.json", documents.stage_to_doc(net))
+        composes = ["graph"] if k < len(graphs) else ["tight", "loose"]
+        modes = [["--mode", "out"], ["--mode", "in"], []] if k < len(graphs) else [[]]
+        for mode in modes:
+            argvs += [
+                ["check-regular", "--network", path, "--partition", e, *mode],
+                ["max-regular", "--network", path, "--seed", e, *mode],
+                ["oracle", "coarsest", "--network", path, *mode],
+            ]
+        argvs += [
+            ["blockmodel", "--network", path, "--partition", e,
+             "-o", str(out_dir / "q.json"), "--dot", str(out_dir / "q.dot")],
+            ["blockmodel", "--network", path, "--partition", e],
+            ["oracle", "partitions", "--network", path],
+        ]
+        for compose in composes:
+            argvs += [
+                ["roles", "--network", path, "--compose", compose, "--words", "--table", "-"],
+                ["induce", "--source", path, "--map", m, "--target", path, "--compose", compose],
+                ["functor-check", "--stages", s1, s2, "--compose", compose],
+            ]
+    u = wn("u.json", coauthor_undirected())
+    argvs += [["convert", "--undirected", u], ["convert", "--undirected", u, "-o", str(out_dir / "c.json")]]
+    codes = run(argvs + argvs)
+    assert codes[: len(argvs)] == codes[len(argvs):]
+    assert set(codes) <= {0, 1}

@@ -48,6 +48,15 @@ class TestActorSet:
         with pytest.raises(StructuralError, match="duplicate"):
             ActorSet(["a", "b", "a"])
 
+    def test_duplicates_in_a_large_roster_named_in_sorted_order(self):
+        # 60,000 labels: one count per label would take about a minute here
+        labels = [f"v{i:05d}" for i in range(60_000)]
+        labels[40_000] = "v50000"
+        labels[59_998] = "v00007"
+        with pytest.raises(StructuralError) as exc:
+            ActorSet(labels)
+        assert str(exc.value) == "duplicate actor labels: v00007, v50000"
+
     def test_empty_label_rejected(self):
         with pytest.raises(StructuralError):
             ActorSet(["a", ""])
