@@ -45,6 +45,9 @@ class RoleSemigroup:
     elements[j] (row = left operand).  The operation the elements were
     closed under must be associative: the table is derived from generator
     products by associativity.
+
+    Built only by ``generate_closure``, which hands over its finished tuples
+    and element index to be stored as given.
     """
 
     __slots__ = (
@@ -60,25 +63,20 @@ class RoleSemigroup:
     )
 
     def __init__(
-        self,
-        elements,
-        words,
-        cayley,
-        generator_names,
-        generator_elements,
-        compose_kind,
-        prune_empty,
-        absorbing,
+        self, elements, words, cayley, index, generator_names, generator_elements,
+        compose_kind, prune_empty,
     ):
-        self.elements = tuple(elements)
-        self.words = tuple(tuple(w) for w in words)
-        self.cayley = tuple(tuple(row) for row in cayley)
-        self.generator_names = tuple(generator_names)
-        self.generator_elements = tuple(generator_elements)
+        self.elements = elements
+        self.words = words
+        self.cayley = cayley
+        self._index = index
+        self.generator_names = generator_names
+        self.generator_elements = generator_elements
         self.compose_kind = compose_kind
         self.prune_empty = prune_empty
-        self.absorbing = absorbing
-        self._index = {el: i for i, el in enumerate(self.elements)}
+        # the zero is the empty structure, and only counts when it absorbs on both sides
+        empty = [z for z, el in enumerate(elements) if getattr(el, "is_empty", False)]
+        self.absorbing = _first_zero_or_identity(self, empty[:1], zero=True)
 
     def __len__(self):
         return len(self.elements)
@@ -128,7 +126,7 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     generators = list(generators)
     if not generators:
         raise InputError("at least one generator is required")
-    names = [name for name, _ in generators]
+    names = tuple(name for name, _ in generators)
     gens = [g for _, g in generators]
 
     elements = []
@@ -151,7 +149,7 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     for i, g in enumerate(gens):
         if g not in index:
             level.append(admit(g, (i,), None))
-    generator_elements = [index[g] for g in gens]
+    generator_elements = tuple(index[g] for g in gens)
 
     # left[i][x] indexes gens[i] composed after elements[x]; levels are
     # contiguous index ranges, so appending level by level fills it by position
@@ -172,23 +170,12 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     cayley = []
     for x, rest in enumerate(suffix):
         first = left[words[x][0]]
-        cayley.append(first if rest is None else [first[z] for z in cayley[rest]])
+        cayley.append(tuple(first) if rest is None else tuple([first[z] for z in cayley[rest]]))
 
-    absorbing = _find_zero(elements, cayley)
     return RoleSemigroup(
-        elements, words, cayley, names, generator_elements, compose_kind, prune_empty, absorbing
+        tuple(elements), tuple(words), tuple(cayley), index, names, generator_elements,
+        compose_kind, prune_empty,
     )
-
-
-def _find_zero(elements, cayley):
-    # the zero is the empty structure, and only counts when the table
-    # confirms it absorbs on both sides
-    for z, el in enumerate(elements):
-        if getattr(el, "is_empty", False):
-            if all(cayley[z][x] == z and cayley[x][z] == z for x in range(len(elements))):
-                return z
-            return None
-    return None
 
 
 def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
@@ -206,12 +193,12 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
 
 
 def find_identity(s):
-    """Index of a two-sided identity in the generated table, if present."""
-    m = len(s.elements)
-    for e in range(m):
-        if all(s.cayley[e][x] == x == s.cayley[x][e] for x in range(m)):
-            return e
-    return None
+    """Index of the two-sided identity of a generated semigroup, if present.
+
+    Checked against the generators only; raises StructuralError for a
+    ``TableSemigroup``.
+    """
+    return _first_zero_or_identity(s, range(len(s)), zero=False)
 
 
 def multiplication_table(s):
@@ -236,9 +223,26 @@ def render_table_csv(s):
     return "\n".join(lines) + "\n"
 
 
+def _require_generated(s):
+    if not isinstance(s, RoleSemigroup):
+        raise StructuralError(f"needs a generated RoleSemigroup, got {type(s).__name__}")
+
+
 def _distinct_generators(s):
-    # the distinct generator elements are discovered first, as 0..u-1
+    # the distinct generator elements are discovered first, as 0..u-1; every
+    # element is a product of them, so a law that holds on their rows and
+    # columns holds on every element, by induction on word length
+    _require_generated(s)
     return range(len(set(s.generator_elements)))
+
+
+def _first_zero_or_identity(s, candidates, zero):
+    # the first candidate that is the zero (else the identity) of the generators
+    cay, gens = s.cayley, _distinct_generators(s)
+    for e in candidates:
+        if all(cay[e][g] == cay[g][e] == (e if zero else g) for g in gens):
+            return e
+    return None
 
 
 # ── congruences and quotients ────────────────────────────────────────────────
@@ -249,6 +253,7 @@ class ElementCongruence:
     __slots__ = ("base", "block_of", "num_classes")
 
     def __init__(self, base, block_of):
+        _require_generated(base)
         block_of, count = canonical_blocks(block_of)
         if len(block_of) != len(base.elements):
             raise StructuralError("congruence must assign a class to every element")
@@ -260,30 +265,19 @@ class ElementCongruence:
         return block_lists(self.block_of, self.num_classes)
 
     def is_compatible(self):
-        """Compatibility with the generators, which implies it with every element."""
-        cay = self.base.cayley
-        b = self.block_of
-        gens = _distinct_generators(self.base)
-        for c in self.classes():
-            rep = c[0]
-            for other in c[1:]:
-                for x in gens:
-                    if b[cay[x][rep]] != b[cay[x][other]]:
-                        return False
-                    if b[cay[rep][x]] != b[cay[other][x]]:
-                        return False
-        return True
+        """Whether the partition is a congruence: the congruence closure of
+        the pairs inside its classes is the partition itself."""
+        pairs = [(c[0], x) for c in self.classes() for x in c[1:]]
+        return congruence_closure(self.base, pairs).block_of == self.block_of
 
 
 def congruence_closure(s, pairs):
     """Least congruence on s containing the given element-index pairs.
 
     Worklist saturation: whenever two classes merge, their left and right
-    multiples by the generators are re-queued until nothing changes.  Every
-    element is a product of generators, so the result is compatible with all
-    elements.
+    multiples by the generators are re-queued until nothing changes.
     """
-    m = len(s.elements)
+    m = len(s)
     parent = list(range(m))
 
     def find(x):
@@ -354,16 +348,21 @@ class SemigroupHom:
     def holds(self):
         """Check the homomorphism law on the source's generator rows.
 
-        As in ``generator_induced_hom``, a failure anywhere implies one in a
-        generator row, by induction on word length; this asks for a generated
-        source and an associative target table.
+        Asks for a generated source (StructuralError for a ``TableSemigroup``)
+        and an associative target table.
         """
+        return self._first_failure() is None
+
+    def _first_failure(self):
+        # generator rows come first, so the first failing (row, column) among
+        # them is also the first of a full row-major scan
         scay, tcay, img = self.source.cayley, self.target.cayley, self.image
-        return all(
-            img[scay[g][j]] == tcay[img[g]][img[j]]
-            for g in _distinct_generators(self.source)
-            for j in range(len(self.source))
-        )
+        for g in _distinct_generators(self.source):
+            row, trow = scay[g], tcay[img[g]]
+            for j in range(len(self.source)):
+                if img[row[j]] != trow[img[j]]:
+                    return g, j
+        return None
 
     def compose_with(self, other):
         """other after self; self.target must be other.source."""
@@ -415,6 +414,8 @@ def generator_induced_hom(src, dst):
     not independent of word choice; the witness words agree in the source but
     evaluate to different target elements.
     """
+    _require_generated(src)
+    _require_generated(dst)
     if src.generator_names != dst.generator_names:
         raise StructuralError("generator name lists differ")
     if (src.compose_kind, src.prune_empty) != (dst.compose_kind, dst.prune_empty):
@@ -433,19 +434,15 @@ def generator_induced_hom(src, dst):
                 dst.word_label(dst.generator_elements[i]),
             )
 
-    # a failure of the hom law anywhere implies one in a generator row (by
-    # induction on word length), and those rows come first, so scanning them
-    # alone finds the same first witness as a full row-major scan
-    for i in _distinct_generators(src):
-        for j in range(len(src.elements)):
-            prod = src.cayley[i][j]
-            expected = dst.cayley[image[i]][image[j]]
-            if image[prod] != expected:
-                raise WellDefinednessError(
-                    src.word_label(prod),
-                    src.word_label(i) + src.word_label(j),
-                    dst.word_label(image[prod]),
-                    dst.word_label(expected),
-                )
-
-    return SemigroupHom(src, dst, image)
+    hom = SemigroupHom(src, dst, image)
+    failure = hom._first_failure()
+    if failure is None:
+        return hom
+    i, j = failure
+    prod, expected = src.cayley[i][j], dst.cayley[image[i]][image[j]]
+    raise WellDefinednessError(
+        src.word_label(prod),
+        src.word_label(i) + src.word_label(j),
+        dst.word_label(image[prod]),
+        dst.word_label(expected),
+    )

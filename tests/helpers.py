@@ -195,6 +195,26 @@ def naive_cayley(s, compose):
     return tuple(tuple(s.index_of(compose(x, y)) for y in s.elements) for x in s.elements)
 
 
+def naive_zero(s):
+    """The empty element, if it absorbs every element on both sides."""
+    elements, cayley = s.elements, s.cayley
+    for z, el in enumerate(elements):
+        if getattr(el, "is_empty", False):
+            if all(cayley[z][x] == z and cayley[x][z] == z for x in range(len(elements))):
+                return z
+            return None
+    return None
+
+
+def naive_identity(s):
+    """The first element that is a two-sided identity for every element."""
+    m = len(s.elements)
+    for e in range(m):
+        if all(s.cayley[e][x] == x == s.cayley[x][e] for x in range(m)):
+            return e
+    return None
+
+
 def naive_congruence(s, pairs):
     """Least congruence by a fixpoint over every related pair and every multiplier."""
     m = len(s)

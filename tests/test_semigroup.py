@@ -11,6 +11,7 @@ from roleblock import (
     MultiNetwork,
     Relation,
     ResourceLimitError,
+    SemigroupHom,
     StructuralError,
     WellDefinednessError,
     compose_relations,
@@ -315,6 +316,36 @@ class TestQuotientSemigroup:
             block_of[i] = 1 if i in (i_s, i_p) else 2 + i
         with pytest.raises(InvariantViolation):
             quotient_semigroup(s, ElementCongruence(s, block_of))
+
+
+class TestTableSemigroupIsNotGenerated:
+    """A quotient has a table but no generators, so generator scans refuse it."""
+
+    NEEDS = "needs a generated RoleSemigroup, got TableSemigroup"
+
+    def family_quotient(self):
+        s = family_semigroup()
+        return s, quotient_semigroup(s, congruence_closure(s, []))[0]
+
+    def test_hom_holds(self):
+        _, q = self.family_quotient()
+        with pytest.raises(StructuralError, match=self.NEEDS):
+            SemigroupHom(q, q, range(len(q))).holds()
+
+    def test_generator_induced_hom(self):
+        s, q = self.family_quotient()
+        with pytest.raises(StructuralError, match=self.NEEDS):
+            generator_induced_hom(s, q)
+
+    def test_element_congruence(self):
+        _, q = self.family_quotient()
+        with pytest.raises(StructuralError, match=self.NEEDS):
+            ElementCongruence(q, [0] * len(q))
+
+    def test_find_identity(self):
+        _, q = self.family_quotient()
+        with pytest.raises(StructuralError, match=self.NEEDS):
+            find_identity(q)
 
 
 class TestGeneratorInducedHom:

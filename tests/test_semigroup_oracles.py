@@ -6,6 +6,7 @@ composition kind; each fast result must equal the full m^2 (or m^3) oracle in
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,8 @@ from helpers import (
     naive_congruence,
     naive_holds,
     naive_hom,
+    naive_identity,
+    naive_zero,
     random_multihyper,
     random_network,
     random_partition,
@@ -29,6 +32,7 @@ from roleblock import (
     WellDefinednessError,
     compose_relations,
     congruence_closure,
+    find_identity,
     generate_closure,
     generator_induced_hom,
     pushforward_network,
@@ -68,6 +72,8 @@ def closure(net, compose_kind, prune_empty):
 def test_table_equals_naive_table(compose_kind, prune_empty, rng):
     s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
     assert s.cayley == naive_cayley(s, composition_for(compose_kind, prune_empty))
+    assert s.absorbing == naive_zero(s)
+    assert find_identity(s) == naive_identity(s)
 
 
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
@@ -185,3 +191,17 @@ def test_closure_composes_once_per_generator_and_element(net, compose):
     s = generate_closure(generators, op)
     assert calls[0] == len(generators) * len(s)
     assert s.cayley == naive_cayley(s, compose)
+
+
+def test_closure_peak_memory_is_what_it_keeps():
+    # 989 elements: the Cayley table is built once, in the tuples it keeps
+    net = random_network(random.Random(1), n=6, k=2, density=0.2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = role_semigroup(net, "graph")
+        retained, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 989
+    assert peak <= 1.25 * retained
