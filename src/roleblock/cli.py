@@ -54,12 +54,24 @@ from .semigroup import (
 )
 
 
-def _load_multirelational(path):
-    net = documents.load_network(path)
+def _multirelational(net, path):
+    """``net``, read from ``path``; an undirected hypergraph is an input error."""
     if isinstance(net, UndirectedHypergraph):
         raise InputError(f"{path}: undirected hypergraphs carry no named relations; "
                          "convert to fhyper first")
     return net
+
+
+def _load_multirelational(path):
+    return _multirelational(documents.load_network(path), path)
+
+
+def _write_output(text, path):
+    """Write ``text`` to the file at ``path``, or to standard output when there is none."""
+    if path:
+        documents.write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _resolve_mode(mode, net):
@@ -117,11 +129,7 @@ def _cmd_blockmodel(args):
         quotient = blockmodel_network(net, e)
     else:
         quotient = blockmodel_multihypergraph(net, e)
-    text = documents.dumps_canonical(documents.network_to_doc(quotient))
-    if args.output:
-        documents.write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(documents.dumps_canonical(documents.network_to_doc(quotient)), args.output)
     if args.dot:
         documents.write_text(args.dot, export_dot(quotient))
     return 0
@@ -150,11 +158,7 @@ def _cmd_roles(args):
             print(f"{s.word_label(i)}\t{doc}", file=summary_stream)
 
     if args.table:
-        csv_text = render_table_csv(s)
-        if table_to_stdout:
-            sys.stdout.write(csv_text)
-        else:
-            documents.write_text(args.table, csv_text)
+        _write_output(render_table_csv(s), None if table_to_stdout else args.table)
     return 0
 
 
@@ -186,7 +190,7 @@ def _cmd_functor_check(args):
     stages = [documents.load_stage(path) for path in args.stages]
     if len(stages) < 2:
         raise InputError("need at least two stages")
-    networks = [net for net, _ in stages]
+    networks = [_multirelational(net, path) for path, (net, _) in zip(args.stages, stages)]
     if stages[-1][1] is not None:
         raise InputError(f"{args.stages[-1]}: the final stage must not carry a map")
     maps = []
@@ -217,11 +221,7 @@ def _cmd_convert(args):
         raise InputError(f"{args.undirected}: expected kind 'undirected'")
     h = from_undirected(net)
     out = MultiHypergraph(net.actors, [("H", h)])
-    text = documents.dumps_canonical(documents.network_to_doc(out))
-    if args.output:
-        documents.write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(documents.dumps_canonical(documents.network_to_doc(out)), args.output)
     return 0
 
 

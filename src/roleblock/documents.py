@@ -4,8 +4,9 @@ One canonical serialization: keys sorted, edges deduplicated and sorted,
 actors kept in roster order.  Loading tolerates duplicate edges and any key
 order; saving a loaded document therefore canonicalizes it in one pass.
 
-Loading a network checks each edge's shape, resolves its labels and stores it
-in one pass, straight into the relation's rows or the canonical target tuples.
+Loading a network checks each edge's shape and resolves its labels in one
+pass, straight into the relation's rows or into index lists that the
+hypergraph constructors put in canonical form.
 Its errors come in a fixed order, the order of a shape pass followed by a
 label pass: relations one after another; within a relation, a malformed edge
 anywhere before the first unknown label; relation names only once every
@@ -131,7 +132,7 @@ def _relation(actors, edges, where):
 
 def _hyper_structure(actors, edges, where):
     index = actors.index
-    families = {}
+    families = [[] for _ in range(len(actors))]
     unknown = None
     for edge in edges:
         src, tgt = (edge.get("src"), edge.get("tgt")) if isinstance(edge, dict) else (None, None)
@@ -149,30 +150,27 @@ def _hyper_structure(actors, edges, where):
             if a is None or None in members:
                 unknown = src if a is None else tgt[members.index(None)]
             else:
-                families.setdefault(a, set()).add(tuple(sorted(set(members))))
+                families[a].append(members)
     if unknown is not None:
         raise InputError(f"{where}: unknown actor {unknown!r}")
-    targets = [()] * len(actors)
-    for a, family in families.items():
-        targets[a] = tuple(sorted(family))
-    return FHyperStructure.from_canonical(actors, tuple(targets))
+    return FHyperStructure(actors, families)
 
 
 def _undirected(actors, edges, source):
-    """The canonical hypergraph; the first hyperedge that is not a list of actors is reported."""
+    """The hypergraph; the first hyperedge that is not a list of actors is reported."""
     index = actors.index
-    canon = set()
+    resolved = []
     for edge in edges:
         if not isinstance(edge, list):
             raise InputError(f"{source}: hyperedge {edge!r} is not a list of labels")
-        members = set()
+        members = []
         for x in edge:
             j = index.get(x) if isinstance(x, str) else None
             if j is None:
                 raise InputError(f"{source}: unknown actor {x!r}")
-            members.add(j)
-        canon.add(tuple(sorted(members)))
-    return UndirectedHypergraph.from_canonical(actors, tuple(sorted(canon)))
+            members.append(j)
+        resolved.append(members)
+    return UndirectedHypergraph(actors, resolved)
 
 
 def structure_to_doc(s):

@@ -1,6 +1,7 @@
 """Graphviz DOT rendering for networks, hypergraphs, and their blockmodels."""
 
 from .core import MultiNetwork
+from .errors import StructuralError
 from .hypergraph import MultiHypergraph
 
 # fixed palette cycled by relation index, so reruns are byte-identical
@@ -27,7 +28,7 @@ def export_dot(net):
         return _graph_dot(net)
     if isinstance(net, MultiHypergraph):
         return _hyper_dot(net)
-    raise TypeError(f"cannot render {type(net).__name__} as DOT")
+    raise StructuralError(f"cannot render {type(net).__name__} as DOT")
 
 
 def _node_lines(actors):

@@ -2,9 +2,10 @@
 
 An F-hypergraph assigns to each actor a family of target sets.  The canonical
 form keeps, per actor, a sorted tuple of sorted index tuples (set-of-sets
-semantics: duplicate targets collapse, multiplicity is never tracked).  An
-empty target tuple ``()`` is a legal hyperedge target and is distinct from an
-actor having no hyperedges at all.
+semantics: duplicate targets collapse, multiplicity is never tracked); the
+two constructors below are the only code that builds it.  An empty target
+tuple ``()`` is a legal hyperedge target and is distinct from an actor having
+no hyperedges at all.
 """
 
 from .core import (
@@ -18,6 +19,25 @@ from .core import (
 from .errors import StructuralError
 
 
+def _canonical_families(families, n, what):
+    """Each family of index sets as a sorted tuple of distinct sorted index tuples.
+
+    Every index must lie in range(n); the error names the first one that does
+    not, taking the sets in the order given and each set in sorted order.
+    """
+    canon = []
+    for family in families:
+        sets = set()
+        for t in family:
+            t = tuple(sorted(set(t)))
+            if t and (t[0] < 0 or t[-1] >= n):
+                j = next(j for j in t if not 0 <= j < n)
+                raise StructuralError(f"{what} index {j} out of range for {n} actors")
+            sets.add(t)
+        canon.append(tuple(sorted(sets)))
+    return tuple(canon)
+
+
 class FHyperStructure:
     """Per-actor families of target sets over one ActorSet, in canonical form."""
 
@@ -27,32 +47,8 @@ class FHyperStructure:
         targets = list(targets)
         if len(targets) != len(actors):
             raise StructuralError(f"expected {len(actors)} target families, got {len(targets)}")
-        n = len(actors)
-        canon = []
-        for family in targets:
-            sets = set()
-            for t in family:
-                t = tuple(sorted(set(t)))
-                for j in t:
-                    if not (0 <= j < n):
-                        raise StructuralError(f"target index {j} out of range for {n} actors")
-                sets.add(t)
-            canon.append(tuple(sorted(sets)))
         self.actors = actors
-        self.targets = tuple(canon)
-
-    @classmethod
-    def from_canonical(cls, actors, targets):
-        """Wrap ``targets`` already in canonical form, without checking them.
-
-        ``targets`` must be a tuple with one sorted tuple of distinct sorted
-        index tuples per actor, every index in range: what ``__init__``
-        would store.
-        """
-        h = object.__new__(cls)
-        h.actors = actors
-        h.targets = targets
-        return h
+        self.targets = _canonical_families(targets, len(actors), "target")
 
     @classmethod
     def from_edges(cls, actors, edges):
@@ -61,7 +57,7 @@ class FHyperStructure:
         for a, t in edges:
             if not (0 <= a < len(actors)):
                 raise StructuralError(f"source index {a} out of range")
-            fams[a].append(tuple(t))
+            fams[a].append(t)
         return cls(actors, fams)
 
     @classmethod
@@ -128,28 +124,8 @@ class UndirectedHypergraph:
     __slots__ = ("actors", "hyperedges")
 
     def __init__(self, actors, hyperedges):
-        n = len(actors)
-        edges = set()
-        for edge in hyperedges:
-            edge = tuple(sorted(set(edge)))
-            for j in edge:
-                if not (0 <= j < n):
-                    raise StructuralError(f"vertex index {j} out of range for {n} actors")
-            edges.add(edge)
         self.actors = actors
-        self.hyperedges = tuple(sorted(edges))
-
-    @classmethod
-    def from_canonical(cls, actors, hyperedges):
-        """Wrap ``hyperedges`` already in canonical form, without checking them.
-
-        ``hyperedges`` must be a sorted tuple of distinct sorted index tuples,
-        every index in range: what ``__init__`` would store.
-        """
-        u = object.__new__(cls)
-        u.actors = actors
-        u.hyperedges = hyperedges
-        return u
+        (self.hyperedges,) = _canonical_families([hyperedges], len(actors), "vertex")
 
     @classmethod
     def from_label_edges(cls, actors, hyperedges):
@@ -257,15 +233,14 @@ def loose_compose(k, h, prune_empty=False):
     k.actors.require_same(h.actors)
     fams = []
     for family in h.targets:
-        out = set()
+        out = []
         for V in family:
             w = set()
             for b in V:
                 for U in k.targets[b]:
                     w.update(U)
-            out.add(tuple(sorted(w)))
-        if prune_empty:
-            out.discard(())
+            if w or not prune_empty:
+                out.append(w)
         fams.append(out)
     return FHyperStructure(h.actors, fams)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from roleblock import Partition, cli, documents
+from roleblock import MultiHypergraph, Partition, cli, documents, from_undirected
 from roleblock.cli import main
 from roleblock.fixtures import (
     coauthor_undirected,
@@ -480,6 +480,22 @@ class TestFunctorCheck:
         s2 = wd("s2.json", documents.stage_to_doc(net))
         code = main(["functor-check", "--stages", s1, s2, "--compose", "graph"])
         assert code == 2
+
+    @pytest.mark.parametrize("undirected_at", [0, 1])
+    def test_undirected_stage_is_an_input_error(self, files, capsys, undirected_at):
+        _, _, _, wd = files
+        u = coauthor_undirected()
+        nets = [MultiHypergraph(u.actors, [("H", from_undirected(u))])] * 2
+        nets[undirected_at] = u
+        mapping = documents.map_to_doc(identity_map(u.actors))["map"]
+        stages = [wd("s1.json", documents.stage_to_doc(nets[0], mapping)),
+                  wd("s2.json", documents.stage_to_doc(nets[1]))]
+        code = main(["functor-check", "--stages", *stages, "--compose", "graph"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {stages[undirected_at]}: undirected hypergraphs carry no named "
+            "relations; convert to fhyper first\n"
+        )
 
 
 class TestConvert:

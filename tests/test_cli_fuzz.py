@@ -3,10 +3,10 @@
 Whatever the documents hold, ``main`` must return an exit code of the
 contract (0 success, 1 negative verdict, 2 input error, 3 resource cap) and
 let no exception escape; an input error is reported on stderr as "error:".
-Documents are well-formed over at most 4 actors, so the verbs get past
-parsing, except for at most one per run, which is damaged: truncated, given a
-field of the wrong type, bad bytes or deep nesting.  Closures are capped at 3
-or 40 elements, so every exit code occurs.
+Documents are well-formed networks of all three kinds over at most 4
+actors, so the verbs get past parsing, except for at most one per run, which
+is damaged: truncated, given a field of the wrong type, bad bytes or deep
+nesting.  Closures are capped at 3 or 40 elements, so every exit code occurs.
 """
 
 import contextlib
@@ -35,7 +35,7 @@ junk = st.recursive(
 @st.composite
 def network_doc(draw, kind=None):
     actors = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
-    kind = kind or draw(st.sampled_from(["graph", "fhyper"]))
+    kind = kind or draw(st.sampled_from(["graph", "fhyper", "undirected"]))
     pick = st.sampled_from(actors)
     if kind == "undirected":
         edges = draw(st.lists(st.lists(pick, max_size=3), max_size=4))
@@ -113,7 +113,7 @@ def case(draw):
         "map.json": draw(map_doc(actors, targets)),
         "s1.json": {"network": src, "map": draw(map_doc(actors, targets))["map"]},
         "s2.json": {"network": dst},
-        "u.json": draw(network_doc("undirected")),
+        "u.json": draw(network_doc()),
     }
     files = {name: json.dumps(doc).encode() for name, doc in docs.items()}
     victim = draw(st.sampled_from([None] + [a for a in VERBS[verb] if a in files]))

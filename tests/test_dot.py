@@ -1,8 +1,11 @@
 import re
 
-from roleblock import Partition, blockmodel_network
+import pytest
+
+from roleblock import Partition, StructuralError, blockmodel_network
 from roleblock.dot import export_dot
 from roleblock.fixtures import (
+    coauthor_undirected,
     family_three,
     parent_tree_hyper,
     single_parent_graph,
@@ -41,3 +44,8 @@ def test_relation_styles_are_stable():
 def test_deterministic():
     assert export_dot(family_three()) == export_dot(family_three())
     assert export_dot(parent_tree_hyper()) == export_dot(parent_tree_hyper())
+
+
+def test_undirected_hypergraph_is_a_structural_error():
+    with pytest.raises(StructuralError, match="cannot render UndirectedHypergraph as DOT"):
+        export_dot(coauthor_undirected())

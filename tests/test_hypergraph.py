@@ -75,6 +75,30 @@ class TestFHyperStructure:
         assert hash(h1) == hash(h2)
 
 
+# Index sets with an index out of range for 3 actors, and the index each error
+# names: the first bad one, sets in the order given, each set in sorted order.
+OUT_OF_RANGE = [
+    pytest.param([(0, -1)], -1, id="negative"),
+    pytest.param([(4, 1, 3)], 3, id="too-large"),
+    pytest.param([(5, -2, 1, -1)], -2, id="both"),
+    pytest.param([(0,), (4,), (-1,)], 4, id="first-set-given"),
+]
+
+
+@pytest.mark.parametrize("sets,bad", OUT_OF_RANGE)
+def test_target_out_of_range_is_named(sets, bad):
+    with pytest.raises(StructuralError) as exc:
+        FHyperStructure(actors(3), [[], sets, [(0, 1)]])
+    assert str(exc.value) == f"target index {bad} out of range for 3 actors"
+
+
+@pytest.mark.parametrize("sets,bad", OUT_OF_RANGE)
+def test_vertex_out_of_range_is_named(sets, bad):
+    with pytest.raises(StructuralError) as exc:
+        UndirectedHypergraph(actors(3), [(0, 1)] + sets)
+    assert str(exc.value) == f"vertex index {bad} out of range for 3 actors"
+
+
 class TestNeighbourhood:
     def test_tree_root(self):
         mh = parent_tree_hyper()
