@@ -1,12 +1,19 @@
 """F-hypergraph structures, their two composition operations, and regularity.
 
-An F-hypergraph assigns to each actor a family of target sets.  The canonical
-form keeps, per actor, a sorted tuple of sorted index tuples (set-of-sets
-semantics: duplicate targets collapse, multiplicity is never tracked); the
-two constructors below are the only code that builds it.  An empty target
-tuple ``()`` is a legal hyperedge target and is distinct from an actor having
-no hyperedges at all.
+An F-hypergraph assigns to each actor a family of target sets.  A target set
+is stored as an int mask, bit j for actor j, as ``Relation`` stores its rows;
+the canonical form keeps, per actor, a sorted tuple of distinct masks
+(set-of-sets semantics: duplicate targets collapse, multiplicity is never
+tracked).  ``_canonical_masks`` alone builds it, for both constructors and for
+every structure computed here, and checks that no mask names an actor index
+>= n.  Composition, signatures and pushforwards work on the masks; ``targets``,
+``hyperedges`` and ``edges()`` decode them into sorted index tuples, in sorted
+order.  An empty target set, mask 0, is a legal hyperedge target and is
+distinct from an actor having no hyperedges at all.
 """
+
+from functools import reduce
+from operator import or_
 
 from .core import (
     MultiStructure,
@@ -19,36 +26,96 @@ from .core import (
 from .errors import StructuralError
 
 
-def _canonical_families(families, n, what):
-    """Each family of index sets as a sorted tuple of distinct sorted index tuples.
+def _index_masks(families, n, what):
+    """Each family of index sets as a list of target masks.
 
     Every index must lie in range(n); the error names the first one that does
     not, taking the sets in the order given and each set in sorted order.
     """
+    out = []
+    for family in families:
+        masks = []
+        for t in family:
+            m = 0
+            members = iter(t)
+            for j in members:
+                if not 0 <= j < n:
+                    j = min(x for x in (j, *members) if not 0 <= x < n)
+                    raise StructuralError(f"{what} index {j} out of range for {n} actors")
+                m |= 1 << j
+            masks.append(m)
+        out.append(masks)
+    return out
+
+
+def _canonical_masks(families, n):
+    """Each family of target masks as a sorted tuple of distinct masks.
+
+    Every mask must lie in range(1 << n), that is, name no index >= n.
+    """
     canon = []
     for family in families:
-        sets = set()
-        for t in family:
-            t = tuple(sorted(set(t)))
-            if t and (t[0] < 0 or t[-1] >= n):
-                j = next(j for j in t if not 0 <= j < n)
-                raise StructuralError(f"{what} index {j} out of range for {n} actors")
-            sets.add(t)
-        canon.append(tuple(sorted(sets)))
+        family = sorted(set(family))
+        if family and (family[0] < 0 or family[-1] >> n):
+            raise StructuralError(f"target set refers to an actor index >= {n}")
+        canon.append(tuple(family))
     return tuple(canon)
+
+
+# the members of every mask below 256, the masks of at most 8 actors
+_BYTE_MEMBERS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _members(mask):
+    """The indices of the set bits of ``mask``, in increasing order, as a tuple."""
+    if mask < 256:
+        return _BYTE_MEMBERS[mask]
+    out = []
+    while mask:
+        j = mask.bit_length() - 1
+        out.append(j)
+        mask ^= 1 << j
+    out.reverse()
+    return tuple(out)
+
+
+def _decode(family):
+    """A family of masks as a sorted tuple of sorted index tuples."""
+    return tuple(sorted(map(_members, family)))
+
+
+def _union(masks):
+    return reduce(or_, masks, 0)
+
+
+def _image_mask(mask, image):
+    """The mask of the images under ``image`` of the actors in ``mask``."""
+    out = 0
+    for j in _members(mask):
+        out |= 1 << image[j]
+    return out
 
 
 class FHyperStructure:
     """Per-actor families of target sets over one ActorSet, in canonical form."""
 
-    __slots__ = ("actors", "targets")
+    __slots__ = ("actors", "_masks")
 
     def __init__(self, actors, targets):
         targets = list(targets)
-        if len(targets) != len(actors):
-            raise StructuralError(f"expected {len(actors)} target families, got {len(targets)}")
+        n = len(actors)
+        if len(targets) != n:
+            raise StructuralError(f"expected {n} target families, got {len(targets)}")
         self.actors = actors
-        self.targets = _canonical_families(targets, len(actors), "target")
+        self._masks = _canonical_masks(_index_masks(targets, n, "target"), n)
+
+    @classmethod
+    def _from_masks(cls, actors, families):
+        """Build from one family of target masks per actor; every mask is range-checked."""
+        h = cls.__new__(cls)
+        h.actors = actors
+        h._masks = _canonical_masks(families, len(actors))
+        return h
 
     @classmethod
     def from_edges(cls, actors, edges):
@@ -67,52 +134,62 @@ class FHyperStructure:
             [(actors.resolve(src), [actors.resolve(x) for x in tgt]) for src, tgt in edges],
         )
 
+    @property
+    def targets(self):
+        """Each actor's target sets as sorted index tuples, in sorted order."""
+        return tuple(_decode(family) for family in self._masks)
+
     def edges(self):
         """Yield (source, target tuple) hyperedges in canonical order."""
-        for a, family in enumerate(self.targets):
-            for t in family:
+        for a, family in enumerate(self._masks):
+            for t in sorted(map(_members, family)):
                 yield a, t
 
     def label_edges(self):
-        labs = self.actors.labels
-        return [(labs[a], tuple(labs[j] for j in t)) for a, t in self.edges()]
+        label = self.actors.labels.__getitem__
+        return [
+            (label(a), tuple(map(label, t)))
+            for a, family in enumerate(self._masks)
+            for t in sorted(map(_members, family))
+        ]
 
     @property
     def edge_count(self):
-        return sum(len(family) for family in self.targets)
+        return sum(map(len, self._masks))
 
     @property
     def is_empty(self):
-        return self.edge_count == 0
+        return not any(self._masks)
 
     @property
     def has_empty_target(self):
-        return any(() in family for family in self.targets)
+        # masks are sorted, so an empty target is the first of its family
+        return any(family and not family[0] for family in self._masks)
 
     def signature(self, i, image):
-        """The images under ``image`` of i's target sets, as sorted index tuples."""
-        return frozenset(tuple(sorted({image[j] for j in t})) for t in self.targets[i])
+        """The images under ``image`` of i's target sets, as a frozenset of masks."""
+        return frozenset(_image_mask(m, image) for m in self._masks[i])
 
     def support(self, i):
         """The actors that i's signature reads: the union of its target sets."""
-        return {j for t in self.targets[i] for j in t}
+        return _members(_union(self._masks[i]))
 
     def pushforward(self, image, target):
         """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
         fams = [set() for _ in range(len(target))]
         for a in range(len(self.actors)):
             fams[image[a]] |= self.signature(a, image)
-        return FHyperStructure(target, fams)
+        return FHyperStructure._from_masks(target, fams)
 
     def __eq__(self, other):
         return (
             isinstance(other, FHyperStructure)
             and self.actors == other.actors
-            and self.targets == other.targets
+            and self._masks == other._masks
         )
 
     def __hash__(self):
-        return hash((self.actors.labels, self.targets))
+        return hash((self.actors.labels, self._masks))
 
     def __repr__(self):
         return f"FHyperStructure({self.label_edges()!r})"
@@ -121,15 +198,21 @@ class FHyperStructure:
 class UndirectedHypergraph:
     """A plain hypergraph: a set of vertex subsets over one ActorSet."""
 
-    __slots__ = ("actors", "hyperedges")
+    __slots__ = ("actors", "_masks")
 
     def __init__(self, actors, hyperedges):
+        n = len(actors)
         self.actors = actors
-        (self.hyperedges,) = _canonical_families([hyperedges], len(actors), "vertex")
+        (self._masks,) = _canonical_masks(_index_masks([hyperedges], n, "vertex"), n)
 
     @classmethod
     def from_label_edges(cls, actors, hyperedges):
         return cls(actors, [[actors.resolve(x) for x in edge] for edge in hyperedges])
+
+    @property
+    def hyperedges(self):
+        """The hyperedges as sorted index tuples, in sorted order."""
+        return _decode(self._masks)
 
     def label_hyperedges(self):
         labs = self.actors.labels
@@ -139,11 +222,11 @@ class UndirectedHypergraph:
         return (
             isinstance(other, UndirectedHypergraph)
             and self.actors == other.actors
-            and self.hyperedges == other.hyperedges
+            and self._masks == other._masks
         )
 
     def __hash__(self):
-        return hash((self.actors.labels, self.hyperedges))
+        return hash((self.actors.labels, self._masks))
 
     def __repr__(self):
         return f"UndirectedHypergraph({self.label_hyperedges()!r})"
@@ -169,7 +252,7 @@ def neighbourhood(h, actor):
     if not (0 <= a < len(h.actors)):
         raise StructuralError(f"actor index {a} out of range")
     labs = h.actors.labels
-    return tuple(tuple(labs[j] for j in t) for t in h.targets[a])
+    return tuple(tuple(labs[j] for j in t) for t in _decode(h._masks[a]))
 
 
 def from_undirected(u):
@@ -178,28 +261,29 @@ def from_undirected(u):
     Every hyperedge W contributes, for each member a, the hyperedge
     (a, W minus {a}); a singleton hyperedge {a} therefore becomes (a, ()).
     """
-    edges = []
-    for edge in u.hyperedges:
-        for a in edge:
-            edges.append((a, tuple(x for x in edge if x != a)))
-    return FHyperStructure.from_edges(u.actors, edges)
+    fams = [[] for _ in range(len(u.actors))]
+    for w in u._masks:
+        for a in _members(w):
+            fams[a].append(w ^ (1 << a))
+    return FHyperStructure._from_masks(u.actors, fams)
 
 
 def is_graph_like(h):
     """True when every target is a singleton, i.e. the structure encodes a relation."""
-    return all(all(len(t) == 1 for t in family) for family in h.targets)
+    return all(m and not m & (m - 1) for family in h._masks for m in family)
 
 
 def to_relation(h):
     """Collapse a singleton-target structure to the relation it encodes."""
     if not is_graph_like(h):
         raise StructuralError("structure has a non-singleton target; not graph-like")
-    return Relation.from_pairs(h.actors, [(a, t[0]) for a, t in h.edges()])
+    return Relation(h.actors, [_union(family) for family in h._masks])
 
 
 def embed_relation(r):
     """The singleton-target structure encoding a relation: (a, {b}) per pair (a, b)."""
-    return FHyperStructure.from_edges(r.actors, [(i, (j,)) for i, j in r.pairs()])
+    fams = [[1 << j for j in _members(row)] for row in r.rows]
+    return FHyperStructure._from_masks(r.actors, fams)
 
 
 # ── the two compositions ─────────────────────────────────────────────────────
@@ -209,17 +293,18 @@ def tight_compose(k, h):
 
     (a, U) is a hyperedge iff h has some (a, V) with a member b such that
     (b, U) is a hyperedge of k.  Each branch through V contributes its own
-    target set.
+    target set, so a's family is the union of k's families over the members
+    of a's targets.
     """
     k.actors.require_same(h.actors)
+    ks = k._masks
     fams = []
-    for family in h.targets:
+    for family in h._masks:
         out = set()
-        for V in family:
-            for b in V:
-                out.update(k.targets[b])
+        for b in _members(_union(family)):
+            out.update(ks[b])
         fams.append(out)
-    return FHyperStructure(h.actors, fams)
+    return FHyperStructure._from_masks(h.actors, fams)
 
 
 def loose_compose(k, h, prune_empty=False):
@@ -231,25 +316,23 @@ def loose_compose(k, h, prune_empty=False):
     hyperedges, ``prune_empty`` deletes them afterwards.
     """
     k.actors.require_same(h.actors)
+    flat = [_union(family) for family in k._masks]
     fams = []
-    for family in h.targets:
+    for family in h._masks:
         out = []
-        for V in family:
-            w = set()
-            for b in V:
-                for U in k.targets[b]:
-                    w.update(U)
+        for v in family:
+            w = 0
+            for b in _members(v):
+                w |= flat[b]
             if w or not prune_empty:
                 out.append(w)
         fams.append(out)
-    return FHyperStructure(h.actors, fams)
+    return FHyperStructure._from_masks(h.actors, fams)
 
 
 def prune_empty_targets(h):
     """Drop every hyperedge whose target set is empty."""
-    return FHyperStructure(
-        h.actors, [[t for t in family if t] for family in h.targets]
-    )
+    return FHyperStructure._from_masks(h.actors, [[m for m in family if m] for family in h._masks])
 
 
 # ── blockmodels and regularity: the shared code in ``core`` ─────────────────

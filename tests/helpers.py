@@ -97,6 +97,52 @@ def loose_oracle(k, h):
     return FHyperStructure.from_edges(h.actors, edges)
 
 
+# A tuple-form reference for the bitmask F-structures: per actor, a sorted
+# tuple of distinct sorted index tuples.  ``families`` below is always in that
+# form, as ``naive_canonical_families`` returns it.
+
+def naive_canonical_families(families, n, what):
+    """Each family of index sets as a sorted tuple of distinct sorted index tuples.
+
+    Every index must lie in range(n); the error names the first one that does
+    not, taking the sets in the order given and each set in sorted order.
+    """
+    canon = []
+    for family in families:
+        sets = set()
+        for t in family:
+            t = tuple(sorted(set(t)))
+            if t and (t[0] < 0 or t[-1] >= n):
+                j = next(j for j in t if not 0 <= j < n)
+                raise StructuralError(f"{what} index {j} out of range for {n} actors")
+            sets.add(t)
+        canon.append(tuple(sorted(sets)))
+    return tuple(canon)
+
+
+def naive_edges(families):
+    """(source, target tuple) hyperedges in canonical order."""
+    return [(a, t) for a, family in enumerate(families) for t in family]
+
+
+def naive_signature(families, i, image):
+    """The images under ``image`` of i's target sets, as sorted index tuples."""
+    return frozenset(tuple(sorted({image[j] for j in t})) for t in families[i])
+
+
+def naive_support(families, i):
+    """The union of i's target sets."""
+    return {j for t in families[i] for j in t}
+
+
+def naive_is_graph_like(families):
+    return all(all(len(t) == 1 for t in family) for family in families)
+
+
+def naive_has_empty_target(families):
+    return any(() in family for family in families)
+
+
 def naive_outward_regular(r, e):
     """Pairwise check: for equivalent a, a2 and every edge (a, b), a2 has an
     edge into b's block."""
