@@ -29,6 +29,16 @@ def _check_mode(mode):
         raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def check_image(image, source, target):
+    """Raise unless ``image`` sends each actor of ``source`` to an index of ``target``."""
+    if len(image) != len(source):
+        raise StructuralError(f"expected {len(source)} images, got {len(image)}")
+    m = len(target)
+    if image and not (0 <= min(image) and max(image) < m):
+        v = next(v for v in image if not 0 <= v < m)
+        raise StructuralError(f"image index {v} out of range for {m} actors")
+
+
 def canonical_blocks(block_of):
     """Block numbers renumbered by first occurrence, and how many blocks there are."""
     remap = {}
@@ -148,6 +158,7 @@ class Relation:
 
     def pushforward(self, image, target):
         """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
+        check_image(image, self.actors, target)
         rows = [0] * len(target)
         for i, j in self.pairs():
             rows[image[i]] |= 1 << image[j]
@@ -512,10 +523,33 @@ def enumerate_partitions(actors):
 
 
 def bruteforce(structures, actors):
-    """Scan every partition and return the coarsest regular one (oracle).
+    """The coarsest regular partition, by branch-and-bound over partitions (oracle).
 
-    Ties in block count are broken by enumeration order; the discrete
-    partition always passes, so a result always exists.
+    The search reads only ``signature`` and ``support`` and never refines.  It
+    places actors in index order and tries block numbers in ascending order,
+    so its depth-first walk meets the leaves in restricted-growth order
+    (Knuth, TAOCP 7.2.1.5), the order of ``enumerate_partitions``.  It
+    returns the first regular partition with the fewest blocks in that order.
+    No other regular partition has that few blocks: the join of two regular
+    partitions is regular, so every regular partition refines the coarsest.
+
+    Two cuts drop a branch with all its leaves:
+
+    - Bound: its block count has reached that of the best leaf so far.
+      Placing an actor never lowers the count, so no leaf below is better.
+    - Signature: an item of i's signature (an out-neighbour, or a target set)
+      is fixed once every actor in it is placed, and the whole signature once
+      every actor in ``support(i)`` is.  The branch is cut when two placed
+      actors share a block, one's signature is fixed and the other has a
+      fixed item outside it.  Placed actors never move, so at every leaf
+      below the items are the same and the two signatures differ.
+
+    An actor's fixed items are the items common to its signatures with each
+    unplaced actor j sent to the fresh block n + j and to 2n + j.  Placing
+    actor d changes the fixed items of d and of the placed actors whose
+    support holds d only, so only pairs with one of them are checked again.
+    At a leaf every signature is fixed and the checks add up to the full
+    regularity test, so exactly the regular leaves survive.
     """
     structures = list(structures)
     n = len(actors)
@@ -523,13 +557,79 @@ def bruteforce(structures, actors):
         raise ResourceLimitError(
             f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
         )
-    best = None
-    for p in enumerate_partitions(actors):
-        if best is not None and p.num_blocks >= best.num_blocks:
-            continue
-        if signatures_agree(structures, p):
-            best = p
-    return best
+    for s in structures:
+        s.actors.require_same(actors)
+    # reads[t][i]: the actors that i's signature in structure t reads, as a mask
+    reads = [[sum(1 << j for j in s.support(i)) for i in range(n)] for s in structures]
+    # that signature is fixed once the last of them, done[t][i], is placed
+    done = [[m.bit_length() - 1 for m in masks] for masks in reads]
+    # the placed actors whose fixed items can change when actor d is placed
+    changed = [
+        [d] + [i for i in range(d) if any(masks[i] >> d & 1 for masks in reads)]
+        for d in range(n)
+    ]
+    # actor j's image is its block once placed, else n + j in lo and 2n + j in hi
+    lo = list(range(n, 2 * n))
+    hi = list(range(2 * n, 3 * n))
+    members = [[] for _ in range(n)]
+    # node[d + 1] names the node that placed actor d on the current path
+    node = [0] * (n + 1)
+    nodes = 0
+    # fixed items depend only on where the actors read are placed, so they are
+    # kept with the node that placed the last of those actors on the path
+    cache = [[(None, None)] * n for _ in structures]
+    best, best_count = None, n + 1
+
+    def fixed(t, i, d):
+        """The items of i's signature in structure t that no later placement changes."""
+        key = node[(reads[t][i] & (2 << d) - 1).bit_length()]
+        seen, items = cache[t][i]
+        if seen != key:
+            s = structures[t]
+            items = s.signature(i, lo)
+            if d < done[t][i]:
+                items &= s.signature(i, hi)
+            cache[t][i] = (key, items)
+        return items
+
+    def fits(d):
+        """False when the signature cut drops the branch that placed actor d."""
+        for i in changed[d]:
+            mates = members[lo[i]]
+            if len(mates) < 2:
+                continue
+            for t in range(len(structures)):
+                whole_i = d >= done[t][i]
+                for j in mates:
+                    if j == i:
+                        continue
+                    whole_j = d >= done[t][j]
+                    if whole_i or whole_j:
+                        si, sj = fixed(t, i, d), fixed(t, j, d)
+                        if whole_i and not sj <= si or whole_j and not si <= sj:
+                            return False
+        return True
+
+    def place(d, count):
+        nonlocal best, best_count, nodes
+        if d == n:
+            best, best_count = lo[:], count
+            return
+        for b in range(count + 1):
+            grown = count + (b == count)
+            if grown >= best_count:
+                break
+            nodes += 1
+            node[d + 1] = nodes
+            lo[d] = hi[d] = b
+            members[b].append(d)
+            if fits(d):
+                place(d + 1, grown)
+            members[b].pop()
+        lo[d], hi[d] = n + d, 2 * n + d
+
+    place(0, 0)
+    return Partition(actors, best)
 
 
 def coarsest_regular_bruteforce(net, mode="both"):

@@ -20,6 +20,7 @@ from .core import (
     Relation,
     blockmodel_network,
     bruteforce,
+    check_image,
     refine,
     signatures_agree,
 )
@@ -176,6 +177,7 @@ class FHyperStructure:
 
     def pushforward(self, image, target):
         """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
+        check_image(image, self.actors, target)
         fams = [set() for _ in range(len(target))]
         for a in range(len(self.actors)):
             fams[image[a]] |= self.signature(a, image)
@@ -351,5 +353,5 @@ def max_regular_hyper_partition(mh, seed=None):
 
 
 def coarsest_regular_hyper_bruteforce(mh):
-    """Scan every partition and return the coarsest regular one (oracle)."""
+    """Brute-force oracle for ``max_regular_hyper_partition`` with no seed."""
     return bruteforce(mh.views(), mh.actors)

@@ -8,7 +8,7 @@ separately so a failing map can be diagnosed.
 
 from dataclasses import dataclass, field
 
-from .core import Partition, quotient_actor_set
+from .core import Partition, check_image, quotient_actor_set
 from .errors import InvariantViolation, NotAReductionError, StructuralError, WellDefinednessError
 from .semigroup import DEFAULT_CAP, SemigroupHom, generator_induced_hom, role_semigroup
 
@@ -20,11 +20,7 @@ class ActorMap:
 
     def __init__(self, source, target, image):
         image = tuple(image)
-        if len(image) != len(source):
-            raise StructuralError(f"expected {len(source)} images, got {len(image)}")
-        for v in image:
-            if not (0 <= v < len(target)):
-                raise StructuralError(f"image index {v} out of range for {len(target)} actors")
+        check_image(image, source, target)
         self.source = source
         self.target = target
         self.image = image

@@ -13,9 +13,11 @@ from roleblock import (
     MultiNetwork,
     Partition,
     Relation,
+    ResourceLimitError,
     StructuralError,
     UndirectedHypergraph,
 )
+from roleblock.core import MAX_ORACLE_ACTORS, enumerate_partitions, signatures_agree
 from roleblock.documents import KINDS
 
 
@@ -60,6 +62,15 @@ def random_partition(rng, acts):
         return Partition(acts, ())
     width = rng.randint(1, n)
     return Partition(acts, [rng.randrange(width) for _ in range(n)])
+
+
+# Bad pushforward images and their messages: a short image, an index >= the
+# target's size and a negative index, on 3 actors.
+BAD_IMAGES = [
+    ([0, 1], "expected 3 images, got 2"),
+    ([0, 5, 1], "image index 5 out of range for 3 actors"),
+    ([0, -1, 1], "image index -1 out of range for 3 actors"),
+]
 
 
 # ── independent oracles ──────────────────────────────────────────────────────
@@ -366,6 +377,43 @@ def naive_refine(structures, actors, seed=None):
             return Partition(actors, new_block_of)
         block_of = new_block_of
         num_blocks = len(assignment)
+
+
+def naive_bruteforce(structures, actors):
+    """Scan every partition and return the coarsest regular one (oracle).
+
+    Ties in block count are broken by enumeration order; the discrete
+    partition always passes, so a result always exists.
+    """
+    structures = list(structures)
+    n = len(actors)
+    if n > MAX_ORACLE_ACTORS:
+        raise ResourceLimitError(
+            f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
+        )
+    best = None
+    for p in enumerate_partitions(actors):
+        if best is not None and p.num_blocks >= best.num_blocks:
+            continue
+        if signatures_agree(structures, p):
+            best = p
+    return best
+
+
+class CountedSignatures:
+    """A structure that forwards to another and counts its ``signature`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.actors = inner.actors
+        self.calls = 0
+
+    def signature(self, i, image):
+        self.calls += 1
+        return self.inner.signature(i, image)
+
+    def support(self, i):
+        return self.inner.support(i)
 
 
 def naive_blocks(block_of):

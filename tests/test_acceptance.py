@@ -217,7 +217,7 @@ def test_06_oracle_equivalence():
         mismatches = 0
         for _ in range(200):
             net = random_network(
-                rng, n=rng.randint(0, 5), k=rng.randint(0, 3), density=rng.uniform(0.1, 0.5)
+                rng, n=rng.randint(0, 7), k=rng.randint(0, 3), density=rng.uniform(0.1, 0.5)
             )
             for mode in ("out", "in", "both"):
                 fast = max_regular_partition(net, mode=mode)

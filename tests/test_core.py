@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BAD_IMAGES,
     actors,
     compose_oracle,
     naive_blocks,
@@ -218,6 +219,16 @@ class TestIdentityAndEmpty:
         e = Partition(acts, [0, 0, 1, 1])
         quotient = empty_relation(acts).pushforward(e.block_of, quotient_actor_set(e))
         assert quotient.is_empty
+
+
+@pytest.mark.parametrize("image,message", BAD_IMAGES, ids=["short", "too-large", "negative"])
+def test_pushforward_rejects_a_bad_image(image, message):
+    acts = actors(3)
+    # no pair involves actor 2, so only a length check sees a short image
+    r = Relation.from_pairs(acts, [(0, 1)])
+    with pytest.raises(StructuralError) as exc:
+        r.pushforward(image, acts)
+    assert str(exc.value) == message
 
 
 # ── blockmodels ──────────────────────────────────────────────────────────────

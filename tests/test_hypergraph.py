@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    BAD_IMAGES,
     actors,
     loose_oracle,
     pp_bisimulation_oracle,
@@ -106,6 +107,15 @@ def test_target_mask_out_of_range_is_a_structural_error(mask):
     with pytest.raises(StructuralError) as exc:
         FHyperStructure._from_masks(actors(3), [[], [0b011, mask], [0]])
     assert str(exc.value) == "target set refers to an actor index >= 3"
+
+
+@pytest.mark.parametrize("image,message", BAD_IMAGES, ids=["short", "too-large", "negative"])
+def test_pushforward_rejects_a_bad_image(image, message):
+    acts = actors(3)
+    h = FHyperStructure(acts, [[(1,)], [], []])
+    with pytest.raises(StructuralError) as exc:
+        h.pushforward(image, acts)
+    assert str(exc.value) == message
 
 
 class TestNeighbourhood:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CountedSignatures,
     actors,
     naive_outward_regular,
     naive_preserves,
@@ -126,21 +127,6 @@ def test_seeded_hyper_refinement_equals_naive_rounds(rng):
     mh = random_multihyper(rng, rng.randint(0, 24), rng.randint(1, 2), max_target=3)
     seed = random_partition(rng, mh.actors) if rng.random() < 0.7 else None
     assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
-
-
-class CountedSignatures:
-    """A structure that forwards to another and counts its ``signature`` calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def signature(self, i, image):
-        self.calls += 1
-        return self.inner.signature(i, image)
-
-    def support(self, i):
-        return self.inner.support(i)
 
 
 def chains(count, length):
