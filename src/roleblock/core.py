@@ -7,7 +7,7 @@ mutate their inputs.
 """
 
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import ResourceLimitError, StructuralError
 
@@ -156,6 +156,13 @@ class Relation:
         """The actors that i's signature reads: its out-neighbours."""
         return _bits(self.rows[i])
 
+    def successors(self, masks):
+        """Each actor's out-neighbours as an index tuple: its part of ``refine``'s edge view.
+
+        A relation has no target sets, so it adds nothing to ``masks``.
+        """
+        return [tuple(_bits(row)) for row in self.rows]
+
     def pushforward(self, image, target):
         """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
         check_image(image, self.actors, target)
@@ -253,9 +260,9 @@ class MultiStructure:
     """One actor roster carrying named structures, in declaration order.
 
     A structure is a ``Relation`` or an ``FHyperStructure``; both give
-    ``signature``, ``support`` and ``pushforward``, which is all that the
-    shared regularity, refinement, blockmodel and validation code asks of
-    them.
+    ``signature``, ``support``, ``successors`` and ``pushforward``, which is
+    all that the shared regularity, refinement, brute-force, blockmodel and
+    validation code asks of them.
     """
 
     __slots__ = ("actors", "relations")
@@ -424,72 +431,179 @@ def network_passes(net, e, mode="both"):
 
 # ── coarsest regular partition: refinement and brute force ──────────────────
 
-def refine(structures, actors, seed=None):
+def _predecessors(structures, n, mode):
+    """The edge view of ``structures`` read in ``mode``, as each node's in-edges.
+
+    Nodes 0..n-1 are the actors; ``successors`` numbers one more node per
+    distinct target mask.  Structure t gives label t forwards and label k + t
+    backwards, for k structures, and each target-mask node has an edge
+    labelled 2k to each of its members.  A backward edge u -> v is the
+    forward edge v -> u, so both kinds come from the one decoded out-list and
+    no transposed relation is built.
+
+    Edge u -> v with label l is the entry l * N + u of ``pred[v]``, for N
+    nodes in all, or ~(l * N + u) when it is u's only edge with label l.
+    Returns ``pred``, N and the number of labels.
+    """
+    masks = {}
+    lists = [s.successors(masks) for s in structures]
+    if masks and mode != "out":
+        raise StructuralError(f"mode {mode!r} applies only to graph networks")
+    k = len(lists)
+    size = n + len(masks)
+    pred = [[] for _ in range(size)]
+
+    def add(entry, targets):
+        if len(targets) == 1:
+            entry = ~entry
+        for v in targets:
+            pred[v].append(entry)
+
+    for t, out in enumerate(lists):
+        if mode != "in":
+            for u, vs in enumerate(out):
+                add(t * size + u, vs)
+        if mode != "out":
+            into = [[] for _ in range(n)]
+            for v, us in enumerate(out):
+                for u in us:
+                    into[u].append(v)
+            for u, vs in enumerate(into):
+                add((k + t) * size + u, vs)
+    for mask, t in masks.items():
+        add(2 * k * size + t, tuple(_bits(mask)))
+    return pred, size, 2 * k + 1
+
+
+def refine(structures, actors, seed=None, mode="out"):
     """Coarsest partition refining ``seed`` that is regular for every structure.
 
-    Worklist refinement after Paige & Tarjan, with Hopcroft's "all but the
-    largest piece" rule.  The first round signs every actor.  A later round
-    re-signs only the actors whose ``support`` in some structure holds an
-    actor that moved in the round before; any other actor reads the same
-    block numbers as before, so its signature is unchanged.
+    ``mode`` reads each structure forwards ("out"), backwards ("in") or both
+    ways, as ``MultiNetwork.views`` selects relations or their transposes;
+    F-structures point one way and take "out" only.
 
-    A round splits each block it touched into its untouched members, as one
-    piece, and one piece per signature among its touched members.  No touched
-    member has the untouched members' signature: it reads a moved actor, and a
-    moved actor's block number is newer than any block the untouched members
-    read.  The largest piece keeps the block's number; every other piece takes
-    a fresh number and its members move.  An actor therefore moves only into a
-    piece at most half its old block, so at most log2 n times, and an actor is
-    re-signed once per move of an actor it reads.
+    Counting refinement after Paige & Tarjan (1987), over an edge view decoded
+    once per call by each structure's ``successors``.  An F-structure is read
+    as a two-sorted system (Wißmann et al., LMCS 2020): actor i has an edge to
+    one node per target set, and that node an edge to each member, so its
+    signature is the family of block-level target sets.  Target-set nodes
+    start in a block of their own.  A node's signature is the set of (label,
+    block) keys of its out-edges, and each node keeps a count per key.
+
+    A round starts from the nodes that moved in the round before, each from
+    block b to a fresh block c: only their predecessors' counts change.  The
+    first round moves every node into its seed block from nowhere.  A touched
+    node's new signature is its old one plus the keys whose count rose from
+    zero (all with a fresh block) minus the keys whose count fell to zero.
+    Every node of a block had one signature before the round, so the touched
+    members of a block are grouped by that (added, removed) delta, and an
+    untouched member keeps the old signature, which no touched member has.
+
+    A block splits into its untouched rest and one piece per delta.  The
+    largest piece keeps the block's number; every other piece takes a fresh
+    number and its members move.  A node therefore moves only into a piece at
+    most half its old block, so at most log2 N times, and a move costs its
+    in-degree: O((n + m) log n) for m edges, whatever the degrees.  Blocks are
+    ranges of one array of nodes (Valmari 2010), so a split moves only the
+    touched members.
 
     The fixpoint is the unique coarsest regular refinement of the seed, so
     the canonically numbered result does not depend on processing order.
     """
+    _check_mode(mode)
     if seed is None:
         seed = Partition.universal(actors)
     seed.actors.require_same(actors)
     structures = list(structures)
-    readers = [[] for _ in range(len(actors))]
-    for i in range(len(actors)):
-        for j in set(chain.from_iterable(s.support(i) for s in structures)):
-            readers[j].append(i)
-    block_of = list(seed.block_of)
-    members = [set(block) for block in seed.blocks()]
-    touched = range(len(actors))
-    while touched:
+    for s in structures:
+        s.actors.require_same(actors)
+    n = len(actors)
+    pred, size, labels = _predecessors(structures, n, mode)
+    span = labels * size
+    blocks = list(seed.blocks())
+    if size > n:
+        blocks.append(range(n, size))
+    block_of = [*seed.block_of, *[len(blocks) - 1] * (size - n)]
+    # block b holds elems[first[b]:end[b]]; loc[v] is v's place in elems
+    elems = [v for block in blocks for v in block]
+    end = list(accumulate(map(len, blocks)))
+    first = [e - len(block) for e, block in zip(end, blocks)]
+    loc = [0] * size
+    for p, v in enumerate(elems):
+        loc[v] = p
+    # count[b * span + entry]: how many of that entry's edges lead into block
+    # b; an edge that is its source's only one with its label needs no count
+    count = {}
+    moved = [(c, None) for c in range(len(first))]
+    while moved:
+        # each touched node's delta: key b * labels + l added, ~key removed
+        delta = {}
+        for c, b in moved:
+            fresh = c * span
+            stale = None if b is None else b * span
+            for v in elems[first[c]:end[c]]:
+                for entry in pred[v]:
+                    if entry < 0:
+                        entry = ~entry
+                        keys = delta.setdefault(entry % size, [])
+                        if stale is not None:
+                            keys.append(~((stale + entry) // size))
+                        keys.append((fresh + entry) // size)
+                        continue
+                    if stale is not None:
+                        key = stale + entry
+                        left = count[key] - 1
+                        if left:
+                            count[key] = left
+                        else:
+                            del count[key]
+                            delta.setdefault(entry % size, []).append(~(key // size))
+                    key = fresh + entry
+                    got = count.get(key)
+                    if got:
+                        count[key] = got + 1
+                    else:
+                        count[key] = 1
+                        delta.setdefault(entry % size, []).append(key // size)
         by_block = {}
-        for i in touched:
-            by_block.setdefault(block_of[i], []).append(i)
+        for u, keys in delta.items():
+            keys.sort()
+            by_block.setdefault(block_of[u], {}).setdefault(tuple(keys), []).append(u)
         moved = []
-        for b, group in by_block.items():
-            by_signature = {}
-            for i in group:
-                key = tuple(s.signature(i, block_of) for s in structures)
-                by_signature.setdefault(key, []).append(i)
-            pieces = list(by_signature.values())
-            block = members[b]
-            rest = len(block) - len(group)
-            largest = max(pieces, key=len)
-            if rest < len(largest):
+        for b, groups in by_block.items():
+            # lay the touched members out at the end of b's range, piece by piece
+            lo = hi = end[b]
+            ranges = []
+            for piece in groups.values():
+                for v in piece:
+                    lo -= 1
+                    p, w = loc[v], elems[lo]
+                    elems[p], loc[w] = w, p
+                    elems[lo], loc[v] = v, lo
+                ranges.append((lo, hi))
+                hi = lo
+            largest = max(ranges, key=lambda r: r[1] - r[0])
+            if lo - first[b] < largest[1] - largest[0]:
                 # the untouched rest is smaller than a touched piece, so it moves
-                pieces.remove(largest)
-                if rest:
-                    pieces.append(block.difference(group))
-            for piece in pieces:
-                block.difference_update(piece)
-                moved.append((len(members), piece))
-                members.append(set(piece))
-        # renumber after the round, so that all its signatures read one numbering
-        for c, piece in moved:
-            for i in piece:
-                block_of[i] = c
-        touched = {r for _, piece in moved for i in piece for r in readers[i]}
-    return Partition(actors, block_of)
+                ranges.remove(largest)
+                if lo > first[b]:
+                    ranges.append((first[b], lo))
+                first[b], end[b] = largest
+            else:
+                end[b] = lo
+            for lo, hi in ranges:
+                c = len(first)
+                first.append(lo)
+                end.append(hi)
+                for v in elems[lo:hi]:
+                    block_of[v] = c
+                moved.append((c, b))
+    return Partition(actors, block_of[:n])
 
 
 def max_regular_partition(net, mode="both", seed=None):
     """Coarsest regular refinement of ``seed`` for the relations selected by ``mode``."""
-    return refine(net.views(mode), net.actors, seed)
+    return refine(net.relations.values(), net.actors, seed, mode)
 
 
 def enumerate_partitions(actors):

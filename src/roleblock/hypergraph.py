@@ -175,6 +175,16 @@ class FHyperStructure:
         """The actors that i's signature reads: the union of its target sets."""
         return _members(_union(self._masks[i]))
 
+    def successors(self, masks):
+        """Each actor's target sets as nodes of ``refine``'s edge view.
+
+        ``masks`` maps each distinct target mask to its node, numbered from n
+        on in order of first sight; a mask not yet in it is added, so the
+        structures of one roster share the node of a mask.
+        """
+        n = len(self.actors)
+        return [tuple(masks.setdefault(m, n + len(masks)) for m in family) for family in self._masks]
+
     def pushforward(self, image, target):
         """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
         check_image(image, self.actors, target)

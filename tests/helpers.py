@@ -416,6 +416,23 @@ class CountedSignatures:
         return self.inner.support(i)
 
 
+class CountedEdges:
+    """A structure that forwards ``successors`` to another and counts the calls.
+
+    It offers nothing else, not even ``transpose``, so a refinement in any
+    mode can read it only through its edge view.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.actors = inner.actors
+        self.calls = 0
+
+    def successors(self, masks):
+        self.calls += 1
+        return self.inner.successors(masks)
+
+
 def naive_blocks(block_of):
     """Index blocks in order of first occurrence, one scan of the roster per block."""
     return tuple(

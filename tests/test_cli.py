@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -824,3 +828,14 @@ def test_every_verb_on_the_fixtures_twice(reentry):
     codes = run(argvs + argvs)
     assert codes[: len(argvs)] == codes[len(argvs):]
     assert set(codes) <= {0, 1}
+
+
+def test_python_m_roleblock_runs_from_a_checkout(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "roleblock", "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: roleblock ")

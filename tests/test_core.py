@@ -16,6 +16,7 @@ from helpers import (
 )
 from roleblock import (
     ActorSet,
+    FHyperStructure,
     MultiNetwork,
     Partition,
     Relation,
@@ -34,6 +35,7 @@ from roleblock import (
     network_passes,
     quotient_actor_set,
 )
+from roleblock.core import refine
 from roleblock.fixtures import (
     family_three,
     mirrored_pair_graph,
@@ -367,6 +369,22 @@ class TestMaxRegularPartition:
     def test_bad_mode(self):
         with pytest.raises(StructuralError):
             max_regular_partition(family_three(), mode="sideways")
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_refine_rejects_a_structure_on_another_roster(self, size):
+        # without the check, a roster other than the structure's gives a wrong
+        # partition or an IndexError
+        acts = actors(4)
+        path = [(0, 1), (1, 2), (2, 3)]
+        for s in (Relation.from_pairs(acts, path), FHyperStructure.from_edges(acts, [(i, [j]) for i, j in path])):
+            with pytest.raises(StructuralError, match="different actor sets"):
+                refine([s], actors(size))
+
+    @pytest.mark.parametrize("mode", ["in", "both"])
+    def test_refine_reads_f_structures_forwards_only(self, mode):
+        h = FHyperStructure(actors(2), [[(1,)], []])
+        with pytest.raises(StructuralError, match="only to graph networks"):
+            refine([h], h.actors, mode=mode)
 
 
 # ── enumeration and brute force ──────────────────────────────────────────────

@@ -1,19 +1,25 @@
-"""The shared signature code, pinned to naive oracles for both kinds.
+"""The shared structure code, pinned to naive oracles for both kinds.
 
-Regularity, refinement, blockmodels and reduction validation are written once
-over ``signature``, ``support`` and ``pushforward``; each result on random
-relations and F-structures (n <= 6) must equal the pairwise or edge-by-edge
-oracle in ``helpers`` or the brute-force search.  Seeded refinement is pinned
-to the round-based ``naive_refine`` up to n = 24, beyond brute force's reach,
-and its signature calls are counted on paths and chains.
+Regularity, blockmodels and reduction validation are written once over
+``signature`` and ``pushforward``, and refinement once over the edge view
+that ``successors`` gives.  Each result on random relations and F-structures
+(n <= 6) must equal the pairwise or edge-by-edge oracle in ``helpers`` or the
+brute-force search.  Seeded refinement is pinned to the round-based
+``naive_refine`` beyond brute force's reach: graphs of up to 24 actors, some
+with hub rows, and F-structures that share target masks, on up to 2,000
+actors.  A refinement decodes each structure once, and a hub costs it about
+what the paths it reads cost.
 """
+
+import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    CountedSignatures,
+    CountedEdges,
     actors,
     naive_outward_regular,
     naive_preserves,
@@ -29,6 +35,8 @@ from helpers import (
 )
 from roleblock import (
     ActorMap,
+    FHyperStructure,
+    MultiHypergraph,
     MultiNetwork,
     Partition,
     Relation,
@@ -110,11 +118,22 @@ def test_hyper_refinement_equals_bruteforce(rng):
     assert max_regular_hyper_partition(mh) == coarsest_regular_hyper_bruteforce(mh)
 
 
+def with_hubs(rng, net):
+    """``net`` with about a fifth of its rows made full: hubs that point at every actor."""
+    full = (1 << len(net.actors)) - 1
+    return MultiNetwork(net.actors, [
+        (name, Relation(net.actors, [full if rng.random() < 0.2 else row for row in r.rows]))
+        for name, r in net.relations.items()
+    ])
+
+
 @pytest.mark.parametrize("mode", MODES)
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False))
 def test_seeded_graph_refinement_equals_naive_rounds(mode, rng):
     net = random_network(rng, rng.randint(0, 24), rng.randint(1, 3), rng.choice([0.04, 0.1, 0.2, 0.4]))
+    if rng.random() < 0.3:
+        net = with_hubs(rng, net)
     seed = random_partition(rng, net.actors) if rng.random() < 0.7 else None
     expected = naive_refine(net.views(mode), net.actors, seed)
     assert max_regular_partition(net, mode=mode, seed=seed) == expected
@@ -129,29 +148,104 @@ def test_seeded_hyper_refinement_equals_naive_rounds(rng):
     assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
 
 
-def chains(count, length):
-    """``count`` disjoint directed paths of ``length`` actors each."""
-    acts = actors(count * length)
-    return Relation.from_pairs(
-        acts, [(c * length + i, c * length + i + 1) for c in range(count) for i in range(length - 1)]
+def two_sorted(rng):
+    """Two F-structures drawing their targets from one small pool of masks.
+
+    A pooled target is shared by several actors and by both structures.  The
+    pool holds the empty target, actor 0 has it and actor 1 has no targets
+    at all.  On a roster of 2,000 actors the targets are sparse wide masks.
+    """
+    n = rng.choice([rng.randint(2, 12), 2000])
+    acts = actors(n)
+    width = 3 if n > 12 else n
+
+    def target():
+        return rng.sample(range(n), rng.randint(1, width))
+
+    pool = [[]] + [target() for _ in range(rng.randint(1, 4))]
+    owners = range(n) if n <= 12 else rng.sample(range(2, n), 30)
+
+    def family(a):
+        if a == 0:
+            return [[]]
+        if a == 1 or a not in owners:
+            return []
+        return [rng.choice(pool) if rng.random() < 0.7 else target() for _ in range(rng.randint(0, 3))]
+
+    return MultiHypergraph(
+        acts,
+        [(name, FHyperStructure(acts, [family(a) for a in range(n)])) for name in ("H", "K")],
     )
 
 
-@pytest.mark.parametrize(
-    "count,length", [(1, 2000), (2, 280)], ids=["path-2000", "two-280-link-chains"]
-)
-@pytest.mark.parametrize("mode", ["out", "in"])
-def test_refinement_signs_each_actor_about_twice(count, length, mode):
-    r = chains(count, length)
-    counted = CountedSignatures(r if mode == "out" else r.transpose())
-    got = refine([counted], r.actors)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_two_sorted_view_equals_naive_rounds(rng):
+    mh = two_sorted(rng)
+    seed = random_partition(rng, mh.actors) if rng.random() < 0.5 else None
+    assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_refinement_decodes_each_structure_once(mode):
+    net = random_network(random.Random(5), n=30, k=2, density=0.1)
+    counted = [CountedEdges(r) for r in net.relations.values()]
+    assert refine(counted, net.actors, mode=mode) == naive_refine(net.views(mode), net.actors)
+    assert [c.calls for c in counted] == [1, 1]
+
+
+def test_hyper_refinement_decodes_each_structure_once():
+    mh = random_multihyper(random.Random(5), n=30, k=2, max_target=3)
+    counted = [CountedEdges(h) for h in mh.relations.values()]
+    assert refine(counted, mh.actors) == naive_refine(mh.views(), mh.actors)
+    assert [c.calls for c in counted] == [1, 1]
+
+
+def chains_and_hub(kind, hub, count=2, length=1000):
+    """``count`` directed paths of ``length`` actors, and one more actor.
+
+    With ``hub`` that actor points at every path actor: in a graph by an edge
+    each, in an F-hypergraph by a singleton target each ("singletons") or by
+    one target that holds every path actor ("whole").
+    """
     n = count * length
-    # round-based refinement re-signs every actor in each of ``length`` rounds
-    assert counted.calls <= 2 * n + 8
-    # an actor's class is its distance to its chain's end (out) or start (in)
-    assert got == Partition(
-        r.actors, [length - 1 - i if mode == "out" else i for _ in range(count) for i in range(length)]
-    )
+    acts = actors(n + 1)
+    links = [(c * length + i, c * length + i + 1) for c in range(count) for i in range(length - 1)]
+    if kind in MODES:
+        pairs = links + [(n, j) for j in range(n) if hub]
+        return MultiNetwork(acts, [("R", Relation.from_pairs(acts, pairs))])
+    fams = [[] for _ in range(n + 1)]
+    for i, j in links:
+        fams[i].append((j,))
+    if hub:
+        fams[n] = [(j,) for j in range(n)] if kind == "singletons" else [tuple(range(n))]
+    return MultiHypergraph(acts, [("H", FHyperStructure(acts, fams))])
+
+
+def coarsest(kind, net):
+    if kind in MODES:
+        return max_regular_partition(net, mode=kind)
+    return max_regular_hyper_partition(net)
+
+
+def best_time(kind, net):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        coarsest(kind, net)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("kind", [*MODES, "singletons", "whole"])
+def test_a_hub_costs_about_what_its_paths_cost(kind):
+    with_hub, without = chains_and_hub(kind, True), chains_and_hub(kind, False)
+    # an actor's class is its place on its path, counted from either end in
+    # every mode, and the hub has a class of its own
+    assert coarsest(kind, with_hub) == Partition(with_hub.actors, [*range(1000), *range(1000), 1000])
+    # re-signing the hub from its whole row at every split of a path made
+    # this ratio up to about 90
+    assert best_time(kind, with_hub) < 5 * best_time(kind, without)
 
 
 def random_map(rng, src, dst_actors):
