@@ -67,6 +67,7 @@ from .reduction import (
     validate_positional_reduction,
 )
 from .semigroup import (
+    BITS_PER_ELEMENT,
     DEFAULT_CAP,
     ElementCongruence,
     RoleSemigroup,

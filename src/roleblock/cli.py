@@ -157,8 +157,11 @@ def _cmd_roles(args):
             doc = json.dumps(documents.structure_to_doc(s.elements[i]), sort_keys=True)
             print(f"{s.word_label(i)}\t{doc}", file=summary_stream)
 
-    if args.table:
-        _write_output(render_table_csv(s), None if table_to_stdout else args.table)
+    if table_to_stdout:
+        render_table_csv(s, sys.stdout.write)
+    elif args.table:
+        with documents.replacing(args.table) as fh:
+            render_table_csv(s, fh.write)
     return 0
 
 

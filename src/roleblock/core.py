@@ -17,11 +17,21 @@ MAX_ENUM_ACTORS = 10
 MAX_ORACLE_ACTORS = 8
 
 
-def _bits(mask):
+# the members of every mask below 256, the masks of at most 8 actors
+_BYTE_MEMBERS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def mask_members(mask):
+    """The indices of the set bits of ``mask``, in increasing order, as a tuple."""
+    if mask < 256:
+        return _BYTE_MEMBERS[mask]
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        j = mask.bit_length() - 1
+        out.append(j)
+        mask ^= 1 << j
+    out.reverse()
+    return tuple(out)
 
 
 def _check_mode(mode):
@@ -127,7 +137,7 @@ class Relation:
     def pairs(self):
         """Yield index pairs in row-major order."""
         for i, row in enumerate(self.rows):
-            for j in _bits(row):
+            for j in mask_members(row):
                 yield i, j
 
     def label_pairs(self):
@@ -148,20 +158,24 @@ class Relation:
     def has(self, i, j):
         return bool(self.rows[i] >> j & 1)
 
+    def stored_bits(self):
+        """What the relation keeps, in bits: each row's bits plus a 64-bit slot per row."""
+        return sum(map(int.bit_length, self.rows)) + 64 * len(self.rows)
+
     def signature(self, i, image):
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
-        return frozenset(image[j] for j in _bits(self.rows[i]))
+        return frozenset(image[j] for j in mask_members(self.rows[i]))
 
     def support(self, i):
         """The actors that i's signature reads: its out-neighbours."""
-        return _bits(self.rows[i])
+        return mask_members(self.rows[i])
 
     def successors(self, masks):
         """Each actor's out-neighbours as an index tuple: its part of ``refine``'s edge view.
 
         A relation has no target sets, so it adds nothing to ``masks``.
         """
-        return [tuple(_bits(row)) for row in self.rows]
+        return list(map(mask_members, self.rows))
 
     def pushforward(self, image, target):
         """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
@@ -341,7 +355,7 @@ def compose_relations(r2, r1):
     rows = []
     for mids in r1.rows:
         acc = 0
-        for u in _bits(mids):
+        for u in mask_members(mids):
             acc |= r2.rows[u]
         rows.append(acc)
     return Relation(r1.actors, rows)
@@ -471,7 +485,7 @@ def _predecessors(structures, n, mode):
             for u, vs in enumerate(into):
                 add((k + t) * size + u, vs)
     for mask, t in masks.items():
-        add(2 * k * size + t, tuple(_bits(mask)))
+        add(2 * k * size + t, mask_members(mask))
     return pred, size, 2 * k + 1
 
 

@@ -13,6 +13,7 @@ anywhere before the first unknown label; relation names only once every
 relation has been read.
 """
 
+import contextlib
 import json
 import os
 
@@ -39,13 +40,14 @@ def _load_json(path):
             raise InputError(f"{path}: unreadable JSON: {exc}") from None
 
 
-def write_text(path, text):
-    """Write ``text`` to ``path`` whole or not at all.
+@contextlib.contextmanager
+def replacing(path):
+    """A text file open for writing that replaces ``path`` whole or not at all.
 
-    The text goes to a fresh file beside the target, which then replaces the
-    target in one step; if anything fails, the target keeps its old content
-    and the fresh file is removed.  An ``OSError`` names ``path``, not the
-    fresh file.
+    The text goes to a fresh file beside the target, which replaces the
+    target in one step when the ``with`` block ends; if anything fails, the
+    target keeps its old content and the fresh file is removed.  An
+    ``OSError`` names ``path``, not the fresh file.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -54,7 +56,7 @@ def write_text(path, text):
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -63,6 +65,12 @@ def write_text(path, text):
         if exc.errno is None:
             raise
         raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path`` whole or not at all (see ``replacing``)."""
+    with replacing(path) as fh:
+        fh.write(text)
 
 
 # ── networks ─────────────────────────────────────────────────────────────────

@@ -13,6 +13,7 @@ distinct from an actor having no hyperedges at all.
 """
 
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     blockmodel_network,
     bruteforce,
     check_image,
+    mask_members,
     refine,
     signatures_agree,
 )
@@ -63,26 +65,9 @@ def _canonical_masks(families, n):
     return tuple(canon)
 
 
-# the members of every mask below 256, the masks of at most 8 actors
-_BYTE_MEMBERS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-
-
-def _members(mask):
-    """The indices of the set bits of ``mask``, in increasing order, as a tuple."""
-    if mask < 256:
-        return _BYTE_MEMBERS[mask]
-    out = []
-    while mask:
-        j = mask.bit_length() - 1
-        out.append(j)
-        mask ^= 1 << j
-    out.reverse()
-    return tuple(out)
-
-
 def _decode(family):
     """A family of masks as a sorted tuple of sorted index tuples."""
-    return tuple(sorted(map(_members, family)))
+    return tuple(sorted(map(mask_members, family)))
 
 
 def _union(masks):
@@ -92,7 +77,7 @@ def _union(masks):
 def _image_mask(mask, image):
     """The mask of the images under ``image`` of the actors in ``mask``."""
     out = 0
-    for j in _members(mask):
+    for j in mask_members(mask):
         out |= 1 << image[j]
     return out
 
@@ -143,7 +128,7 @@ class FHyperStructure:
     def edges(self):
         """Yield (source, target tuple) hyperedges in canonical order."""
         for a, family in enumerate(self._masks):
-            for t in sorted(map(_members, family)):
+            for t in sorted(map(mask_members, family)):
                 yield a, t
 
     def label_edges(self):
@@ -151,7 +136,7 @@ class FHyperStructure:
         return [
             (label(a), tuple(map(label, t)))
             for a, family in enumerate(self._masks)
-            for t in sorted(map(_members, family))
+            for t in sorted(map(mask_members, family))
         ]
 
     @property
@@ -167,13 +152,19 @@ class FHyperStructure:
         # masks are sorted, so an empty target is the first of its family
         return any(family and not family[0] for family in self._masks)
 
+    def stored_bits(self):
+        """What the structure keeps, in bits: each mask's bits plus a 64-bit slot
+        per actor and per mask."""
+        masks = self._masks
+        return 64 * (len(masks) + sum(map(len, masks))) + sum(map(int.bit_length, chain.from_iterable(masks)))
+
     def signature(self, i, image):
         """The images under ``image`` of i's target sets, as a frozenset of masks."""
         return frozenset(_image_mask(m, image) for m in self._masks[i])
 
     def support(self, i):
         """The actors that i's signature reads: the union of its target sets."""
-        return _members(_union(self._masks[i]))
+        return mask_members(_union(self._masks[i]))
 
     def successors(self, masks):
         """Each actor's target sets as nodes of ``refine``'s edge view.
@@ -275,7 +266,7 @@ def from_undirected(u):
     """
     fams = [[] for _ in range(len(u.actors))]
     for w in u._masks:
-        for a in _members(w):
+        for a in mask_members(w):
             fams[a].append(w ^ (1 << a))
     return FHyperStructure._from_masks(u.actors, fams)
 
@@ -294,7 +285,7 @@ def to_relation(h):
 
 def embed_relation(r):
     """The singleton-target structure encoding a relation: (a, {b}) per pair (a, b)."""
-    fams = [[1 << j for j in _members(row)] for row in r.rows]
+    fams = [[1 << j for j in mask_members(row)] for row in r.rows]
     return FHyperStructure._from_masks(r.actors, fams)
 
 
@@ -313,7 +304,7 @@ def tight_compose(k, h):
     fams = []
     for family in h._masks:
         out = set()
-        for b in _members(_union(family)):
+        for b in mask_members(_union(family)):
             out.update(ks[b])
         fams.append(out)
     return FHyperStructure._from_masks(h.actors, fams)
@@ -334,7 +325,7 @@ def loose_compose(k, h, prune_empty=False):
         out = []
         for v in family:
             w = 0
-            for b in _members(v):
+            for b in mask_members(v):
                 w |= flat[b]
             if w or not prune_empty:
                 out.append(w)

@@ -1,10 +1,13 @@
-"""Role-semigroup generation: closure, Cayley tables, congruences, quotients, homs.
+"""Role-semigroup generation: closure, Cayley graphs and tables, congruences, quotients, homs.
 
 Elements are concrete relations or F-hypergraph structures; identity is
 canonical-form equality, never isomorphism.  Words follow the composition
 convention in which the leftmost generator name is the last one applied, so
 the word "PS" denotes P composed after S.
 """
+
+from collections.abc import Sequence
+from operator import itemgetter
 
 from .core import MultiNetwork, block_lists, canonical_blocks, compose_relations
 from .errors import (
@@ -17,6 +20,11 @@ from .errors import (
 from .hypergraph import MultiHypergraph, loose_compose, tight_compose
 
 DEFAULT_CAP = 10_000
+
+# A closure may keep cap * BITS_PER_ELEMENT bits of elements, summed over what
+# each element's ``stored_bits()`` reports: 8 KiB per element of the cap, so
+# about 78 MiB at the default cap.
+BITS_PER_ELEMENT = 8 * 8192
 
 COMPOSE_KINDS = ("graph", "tight", "loose")
 
@@ -41,10 +49,19 @@ class RoleSemigroup:
 
     ``elements`` lists the closure in discovery (shortest-word) order;
     ``words[i]`` is the generator-index sequence of the earliest shortest word
-    for element i; ``cayley[i][j]`` indexes elements[i] composed after
-    elements[j] (row = left operand).  The operation the elements were
-    closed under must be associative: the table is derived from generator
-    products by associativity.
+    for element i, and ``suffix[i]`` the element whose word is ``words[i]``
+    without its first letter (None for a generator).  The semigroup keeps its
+    two Cayley graphs, not its table: ``left[a][i]`` indexes generator a
+    composed after elements[i] and ``right[a][i]`` elements[i] composed after
+    generator a, k·m entries for k generators and m elements.  The operation
+    the elements were closed under must be associative: every other product
+    is derived from these by associativity.
+
+    ``row(i)`` gives the products of elements[i] with every element, derived
+    in O(m·|word|); ``product(i, j)`` traces words[j] through ``right`` in
+    O(|word|).  ``cayley`` is a read-only view over ``row``: ``cayley[i][j]``
+    indexes elements[i] composed after elements[j] (row = left operand), and
+    no m² table is ever stored.
 
     Built only by ``generate_closure``, which hands over its finished tuples
     and element index to be stored as given.
@@ -53,7 +70,9 @@ class RoleSemigroup:
     __slots__ = (
         "elements",
         "words",
-        "cayley",
+        "suffix",
+        "left",
+        "right",
         "generator_names",
         "generator_elements",
         "compose_kind",
@@ -63,12 +82,14 @@ class RoleSemigroup:
     )
 
     def __init__(
-        self, elements, words, cayley, index, generator_names, generator_elements,
+        self, elements, words, suffix, left, right, index, generator_names, generator_elements,
         compose_kind, prune_empty,
     ):
         self.elements = elements
         self.words = words
-        self.cayley = cayley
+        self.suffix = suffix
+        self.left = left
+        self.right = right
         self._index = index
         self.generator_names = generator_names
         self.generator_elements = generator_elements
@@ -80,6 +101,26 @@ class RoleSemigroup:
 
     def __len__(self):
         return len(self.elements)
+
+    @property
+    def cayley(self):
+        """The Cayley table as a read-only ``CayleyView``."""
+        return CayleyView(self)
+
+    def row(self, i):
+        """Indices of elements[i] composed after each element, as a tuple."""
+        word, left = self.words[i], self.left
+        row = left[word[-1]]
+        for a in word[-2::-1]:
+            row = _pick(left[a], row)
+        return row
+
+    def product(self, i, j):
+        """Index of elements[i] composed after elements[j]."""
+        right = self.right
+        for a in self.words[j]:
+            i = right[a][i]
+        return i
 
     def index_of(self, element):
         try:
@@ -107,19 +148,64 @@ class RoleSemigroup:
         )
 
 
+class CayleyView(Sequence):
+    """The Cayley table of a ``RoleSemigroup``, derived on demand and never stored.
+
+    ``view[i]`` is ``s.row(i)``.  Iterating derives each row from its
+    suffix's row, one BFS level back, and keeps only the rows of that level
+    and the current one.
+    """
+
+    __slots__ = ("_s",)
+
+    def __init__(self, s):
+        self._s = s
+
+    def __len__(self):
+        return len(self._s)
+
+    def __getitem__(self, i):
+        return self._s.row(i)
+
+    def __iter__(self):
+        return _rows(self._s, range(len(self._s)))
+
+
+def _pick(seq, idxs):
+    """The items of ``seq`` at the indices ``idxs``, as a tuple."""
+    return itemgetter(*idxs)(seq) if len(idxs) > 1 else tuple(seq[i] for i in idxs)
+
+
+def _rows(s, cols):
+    # each element's products with the elements cols, in index order: the row
+    # of x = g*x' is the row of its suffix x', one BFS level back, mapped
+    # through g's left edges, since (g*x')*y = g*(x'*y)
+    left, words = s.left, s.words
+    previous, current, depth = {}, {}, 1
+    for x, rest in enumerate(s.suffix):
+        word = words[x]
+        if len(word) > depth:
+            previous, current, depth = current, {}, len(word)
+        row = current[x] = _pick(left[word[0]], cols if rest is None else previous[rest])
+        yield row
+
+
 def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom", prune_empty=False):
     """Close a named generator list under a composition operation.
 
     Breadth-first over words by length, then lexicographically by generator
     order, so every element carries its earliest shortest word.  Raises
-    ResourceLimitError once the closure, generators included, would exceed
-    ``cap`` elements, and InputError for a ``cap`` below 1.
+    InputError for a ``cap`` below 1, and ResourceLimitError once the closure,
+    generators included, would exceed ``cap`` elements or keep more than
+    ``cap * BITS_PER_ELEMENT`` bits of elements, as their ``stored_bits()``
+    counts them (an element without that method counts towards ``cap`` only).
 
     ``compose`` must be associative.  It is called exactly once per generator
-    and element (the left Cayley graph); the Cayley table is then filled from
-    that graph, following Froidure and Pin, "Algorithms for computing finite
-    semigroups" (1997): the row of x = g*x' is the row of the shorter suffix
-    x' mapped through left multiplication by g, since (g*x')*y = g*(x'*y).
+    and element, which gives the left Cayley graph.  Following Froidure and
+    Pin, "Algorithms for computing finite semigroups" (1997), the right Cayley
+    graph then takes no compose call: x = g*x' times generator h is
+    g*(x'*h), which is a left edge from the right edge of the shorter suffix
+    x'.  No Cayley table is built; see ``RoleSemigroup``.
     """
     if cap < 1:
         raise InputError(f"cap must be at least 1, got {cap}")
@@ -133,11 +219,22 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     words = []
     suffix = []  # suffix[x] = x' with words[x] = (words[x][0],) + words[x']; None for generators
     index = {}
+    budget = cap * BITS_PER_ELEMENT
+    stored = 0
 
     def admit(element, word, rest):
+        nonlocal stored
         if len(elements) >= cap:
             raise ResourceLimitError(
                 f"closure exceeded the cap of {cap} elements", count=len(elements)
+            )
+        size = getattr(element, "stored_bits", None)
+        stored += size() if size else 0
+        if stored > budget:
+            raise ResourceLimitError(
+                f"closure exceeded the memory budget of {budget // 8192} KiB "
+                f"({BITS_PER_ELEMENT // 8192} KiB per element of the cap of {cap})",
+                count=len(elements),
             )
         idx = index[element] = len(elements)
         elements.append(element)
@@ -166,15 +263,19 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
                     nxt.append(idx)
                 row.append(idx)
         level = nxt
+    left = tuple(map(tuple, left))
 
-    cayley = []
-    for x, rest in enumerate(suffix):
-        first = left[words[x][0]]
-        cayley.append(tuple(first) if rest is None else tuple([first[z] for z in cayley[rest]]))
+    firsts = [word[0] for word in words]
+    right = []
+    for g in generator_elements:
+        col = []
+        for f, rest in zip(firsts, suffix):
+            col.append(left[f][g if rest is None else col[rest]])
+        right.append(tuple(col))
 
     return RoleSemigroup(
-        tuple(elements), tuple(words), tuple(cayley), index, names, generator_elements,
-        compose_kind, prune_empty,
+        tuple(elements), tuple(words), tuple(suffix), left, tuple(right), index, names,
+        generator_elements, compose_kind, prune_empty,
     )
 
 
@@ -207,20 +308,39 @@ def multiplication_table(s):
     The absorbing element's row and column are omitted; entries landing on it
     render as "0".
     """
-    idxs = s.nonzero_indices()
     shown = [s.display_label(i) for i in range(len(s))]
-    labels = [shown[i] for i in idxs]
-    grid = [[shown[s.cayley[i][j]] for j in idxs] for i in idxs]
-    return labels, grid
+    idxs = s.nonzero_indices()
+    zero = s.absorbing
+    grid = [list(_pick(shown, row)) for x, row in enumerate(_rows(s, idxs)) if x != zero]
+    return [shown[i] for i in idxs], grid
 
 
-def render_table_csv(s):
-    """The multiplication table as CSV text, header "*" then column labels."""
-    labels, grid = multiplication_table(s)
-    lines = [",".join(["*"] + labels)]
-    for label, row in zip(labels, grid):
-        lines.append(",".join([label] + row))
-    return "\n".join(lines) + "\n"
+def _csv_field(label):
+    """``label`` as one CSV field, quoted per RFC 4180 when it must be."""
+    if "," in label or '"' in label or "\r" in label or "\n" in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+def render_table_csv(s, write=None):
+    """The multiplication table as CSV, header "*" then column labels.
+
+    The table of ``multiplication_table``, one line per row; a label holding
+    a comma, a quote, CR or LF is quoted.  Returns the text; given ``write``,
+    passes it each line as it is rendered instead and keeps only the rows
+    that ``CayleyView`` iteration keeps.
+    """
+    if write is None:
+        lines = []
+        render_table_csv(s, lines.append)
+        return "".join(lines)
+    shown = [_csv_field(s.display_label(i)) for i in range(len(s))]
+    idxs = s.nonzero_indices()
+    zero = s.absorbing
+    write(",".join(["*"] + [shown[i] for i in idxs]) + "\n")
+    for x, row in enumerate(_rows(s, idxs)):
+        if x != zero:
+            write(shown[x] + "," + ",".join(_pick(shown, row)) + "\n")
 
 
 def _require_generated(s):
@@ -228,19 +348,21 @@ def _require_generated(s):
         raise StructuralError(f"needs a generated RoleSemigroup, got {type(s).__name__}")
 
 
-def _distinct_generators(s):
-    # the distinct generator elements are discovered first, as 0..u-1; every
-    # element is a product of them, so a law that holds on their rows and
-    # columns holds on every element, by induction on word length
+def _generator_graphs(s):
+    # (g, left, right) per distinct generator element g: its row g*x and its
+    # column x*g.  The distinct generator elements are discovered first, as
+    # 0..u-1; every element is a product of them, so a law that holds on their
+    # rows and columns holds on every element, by induction on word length
     _require_generated(s)
-    return range(len(set(s.generator_elements)))
+    letters = [s.words[g][0] for g in range(len(set(s.generator_elements)))]
+    return [(g, s.left[a], s.right[a]) for g, a in enumerate(letters)]
 
 
 def _first_zero_or_identity(s, candidates, zero):
     # the first candidate that is the zero (else the identity) of the generators
-    cay, gens = s.cayley, _distinct_generators(s)
+    gens = _generator_graphs(s)
     for e in candidates:
-        if all(cay[e][g] == cay[g][e] == (e if zero else g) for g in gens):
+        if all(right[e] == left[e] == (e if zero else g) for g, left, right in gens):
             return e
     return None
 
@@ -292,23 +414,26 @@ def congruence_closure(s, pairs):
             raise StructuralError(f"element pair ({a}, {b}) out of range")
         queue.append((a, b))
 
-    cay = s.cayley
-    gens = _distinct_generators(s)
+    graphs = [(left, right) for _, left, right in _generator_graphs(s)]
     while queue:
         a, b = queue.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
         parent[rb] = ra
-        for g in gens:
-            queue.append((cay[g][ra], cay[g][rb]))
-            queue.append((cay[ra][g], cay[rb][g]))
+        for left, right in graphs:
+            queue.append((left[ra], left[rb]))
+            queue.append((right[ra], right[rb]))
 
     return ElementCongruence(s, [find(i) for i in range(m)])
 
 
 class TableSemigroup:
-    """A finite semigroup given by labels and a Cayley table only."""
+    """A finite semigroup given by labels and a Cayley table only.
+
+    ``row`` and ``product`` read the table; a ``RoleSemigroup`` offers the
+    same two, derived from its Cayley graphs.
+    """
 
     __slots__ = ("labels", "cayley")
 
@@ -318,6 +443,12 @@ class TableSemigroup:
 
     def __len__(self):
         return len(self.labels)
+
+    def row(self, i):
+        return self.cayley[i]
+
+    def product(self, i, j):
+        return self.cayley[i][j]
 
     def word_label(self, i):
         return self.labels[i]
@@ -356,11 +487,11 @@ class SemigroupHom:
     def _first_failure(self):
         # generator rows come first, so the first failing (row, column) among
         # them is also the first of a full row-major scan
-        scay, tcay, img = self.source.cayley, self.target.cayley, self.image
-        for g in _distinct_generators(self.source):
-            row, trow = scay[g], tcay[img[g]]
-            for j in range(len(self.source)):
-                if img[row[j]] != trow[img[j]]:
+        img, target = self.image, self.target
+        for g, row, _ in _generator_graphs(self.source):
+            trow = target.row(img[g])
+            for j, x in enumerate(row):
+                if img[x] != trow[img[j]]:
                     return g, j
         return None
 
@@ -387,7 +518,7 @@ def quotient_semigroup(s, congruence):
     reps = [c[0] for c in classes]
     if not congruence.is_compatible():
         raise InvariantViolation("element classes are not a congruence")
-    qcay = [[b[s.cayley[ri][rj]] for rj in reps] for ri in reps]
+    qcay = [[b[s.product(ri, rj)] for rj in reps] for ri in reps]
     labels = []
     for c in classes:
         members = [s.display_label(i) for i in c]
@@ -401,8 +532,8 @@ def quotient_semigroup(s, congruence):
 def _evaluate_word(s, word):
     # word is a generator-index sequence, leftmost applied last
     acc = s.generator_elements[word[-1]]
-    for g in reversed(word[:-1]):
-        acc = s.cayley[s.generator_elements[g]][acc]
+    for a in word[-2::-1]:
+        acc = s.left[a][acc]
     return acc
 
 
@@ -439,7 +570,7 @@ def generator_induced_hom(src, dst):
     if failure is None:
         return hom
     i, j = failure
-    prod, expected = src.cayley[i][j], dst.cayley[image[i]][image[j]]
+    prod, expected = src.product(i, j), dst.product(image[i], image[j])
     raise WellDefinednessError(
         src.word_label(prod),
         src.word_label(i) + src.word_label(j),

@@ -5,6 +5,9 @@ direct quantifier translation) so they exercise a different code path from
 the library implementations they check.
 """
 
+import csv
+import io
+
 from roleblock import (
     ActorSet,
     FHyperStructure,
@@ -237,7 +240,7 @@ def pp_bisimulation_oracle(h, e):
 
 
 def table_is_associative(s):
-    cay = s.cayley
+    cay = tuple(s.cayley)
     m = len(cay)
     return all(
         cay[cay[i][j]][k] == cay[i][cay[j][k]]
@@ -252,9 +255,28 @@ def naive_cayley(s, compose):
     return tuple(tuple(s.index_of(compose(x, y)) for y in s.elements) for x in s.elements)
 
 
+def naive_table_csv(s, compose):
+    """The CSV table from ``naive_cayley``: nonzero rows and columns, "0" for
+    the zero, each line written by ``csv.writer`` and ended by LF."""
+    cay = naive_cayley(s, compose)
+    zero = naive_zero(s)
+    keep = [i for i in range(len(s)) if i != zero]
+
+    def label(i):
+        return "0" if i == zero else s.word_label(i)
+
+    lines = []
+    for row in [["*"] + [label(j) for j in keep]] + [[label(i)] + [label(cay[i][j]) for j in keep] for i in keep]:
+        out = io.StringIO()
+        # CRLF as terminator makes the writer quote a field holding CR or LF
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
 def naive_zero(s):
     """The empty element, if it absorbs every element on both sides."""
-    elements, cayley = s.elements, s.cayley
+    elements, cayley = s.elements, tuple(s.cayley)
     for z, el in enumerate(elements):
         if getattr(el, "is_empty", False):
             if all(cayley[z][x] == z and cayley[x][z] == z for x in range(len(elements))):
@@ -266,8 +288,9 @@ def naive_zero(s):
 def naive_identity(s):
     """The first element that is a two-sided identity for every element."""
     m = len(s.elements)
+    cay = tuple(s.cayley)
     for e in range(m):
-        if all(s.cayley[e][x] == x == s.cayley[x][e] for x in range(m)):
+        if all(cay[e][x] == x == cay[x][e] for x in range(m)):
             return e
     return None
 
@@ -275,7 +298,7 @@ def naive_identity(s):
 def naive_congruence(s, pairs):
     """Least congruence by a fixpoint over every related pair and every multiplier."""
     m = len(s)
-    cay = s.cayley
+    cay = tuple(s.cayley)
     block = list(range(m))
 
     def merge(a, b):
@@ -303,7 +326,7 @@ def naive_congruence(s, pairs):
 
 def naive_compatible(s, block_of):
     """Whether related elements have related products with every element, on both sides."""
-    cay = s.cayley
+    cay = tuple(s.cayley)
     m = len(s)
     return all(
         block_of[cay[z][x]] == block_of[cay[z][y]] and block_of[cay[x][z]] == block_of[cay[y][z]]
@@ -322,11 +345,12 @@ def naive_hom(src, dst):
     ``(word_a, word_b, image_a, image_b)``, or the first generator whose
     duplicates split in the target.
     """
+    scay, tcay = tuple(src.cayley), tuple(dst.cayley)
     image = []
     for word in src.words:
         acc = dst.generator_elements[word[-1]]
         for g in reversed(word[:-1]):
-            acc = dst.cayley[dst.generator_elements[g]][acc]
+            acc = tcay[dst.generator_elements[g]][acc]
         image.append(acc)
     for i, e in enumerate(src.generator_elements):
         if image[e] != dst.generator_elements[i]:
@@ -338,8 +362,8 @@ def naive_hom(src, dst):
             )
     for i in range(len(src)):
         for j in range(len(src)):
-            prod = src.cayley[i][j]
-            expected = dst.cayley[image[i]][image[j]]
+            prod = scay[i][j]
+            expected = tcay[image[i]][image[j]]
             if image[prod] != expected:
                 return image, (
                     src.word_label(prod),
@@ -352,7 +376,7 @@ def naive_hom(src, dst):
 
 def naive_holds(hom):
     """The homomorphism law checked over every cell of the source table."""
-    scay, tcay, img = hom.source.cayley, hom.target.cayley, hom.image
+    scay, tcay, img = tuple(hom.source.cayley), tuple(hom.target.cayley), hom.image
     m = len(hom.source)
     return all(img[scay[i][j]] == tcay[img[i]][img[j]] for i in range(m) for j in range(m))
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from roleblock import MultiHypergraph, Partition, cli, documents, from_undirected
+from roleblock import (
+    MultiHypergraph,
+    MultiNetwork,
+    Partition,
+    cli,
+    documents,
+    from_undirected,
+    multiplication_table,
+    role_semigroup,
+)
 from roleblock.cli import main
 from roleblock.fixtures import (
     coauthor_undirected,
@@ -297,6 +308,30 @@ class TestRoles:
         code = main(["roles", "--network", path, "--compose", "graph"])
         assert code == 2
         assert "generator" in capsys.readouterr().err
+
+    def test_memory_budget_exit_code(self, files, capsys):
+        # one element, but 2,000 rows that each reach the last actor: about
+        # 4.1 Mbit, over the budget of cap 50 and within that of cap 100
+        _, _, _, wd = files
+        labels = [f"a{i}" for i in range(2000)]
+        path = wd("wide.json", {"kind": "graph", "actors": labels,
+                                "relations": {"R": [[a, labels[-1]] for a in labels]}})
+        assert main(["roles", "--network", path, "--compose", "graph", "--cap", "50"]) == 3
+        assert "memory budget" in capsys.readouterr().err
+        assert main(["roles", "--network", path, "--compose", "graph", "--cap", "100"]) == 0
+        assert "elements: 1" in capsys.readouterr().out
+
+    def test_table_with_quoted_labels_round_trips_through_csv(self, files, capsys):
+        _, wn, _, _ = files
+        net = family_three()
+        renamed = MultiNetwork(net.actors, [("P,Q", net.relations["P"]), ("S", net.relations["S"]),
+                                            ('B"', net.relations["B"])])
+        path = wn("net.json", renamed)
+        assert main(["roles", "--network", path, "--compose", "graph", "--table", "-"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        labels, grid = multiplication_table(role_semigroup(documents.load_network(path), "graph"))
+        assert rows == [["*"] + labels] + [[lab] + cells for lab, cells in zip(labels, grid)]
+        assert "P,QS" in labels and 'B"S' in labels
 
     def test_deterministic_output(self, files, capsys):
         _, wn, _, _ = files

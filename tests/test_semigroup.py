@@ -4,8 +4,10 @@ import pytest
 
 from helpers import actors, naive_cayley, naive_pushforward, random_network, table_is_associative
 from roleblock import (
+    BITS_PER_ELEMENT,
     ActorSet,
     ElementCongruence,
+    FHyperStructure,
     InputError,
     InvariantViolation,
     MultiNetwork,
@@ -133,7 +135,7 @@ class TestGenerateClosure:
 
     def test_closure_completeness(self):
         s = family_semigroup()
-        assert s.cayley == naive_cayley(s, compose_relations)
+        assert tuple(s.cayley) == naive_cayley(s, compose_relations)
 
     def test_cap_exceeded(self):
         with pytest.raises(ResourceLimitError) as err:
@@ -156,6 +158,21 @@ class TestGenerateClosure:
     def test_closure_of_exactly_cap_elements_succeeds(self):
         size = len(family_semigroup())
         assert len(role_semigroup(family_three(), "graph", cap=size)) == size
+
+    def test_memory_budget_counts_stored_bits(self):
+        # one idempotent relation on 2,000 actors whose rows all reach the last
+        # actor: 2,000 x (2,000 + 64) bits, just over 62 x BITS_PER_ELEMENT
+        acts = actors(2000)
+        r = Relation.from_pairs(acts, [(i, 1999) for i in range(2000)])
+        assert r.stored_bits() == 2000 * 2064 > 62 * BITS_PER_ELEMENT
+        net = MultiNetwork(acts, [("R", r)])
+        with pytest.raises(ResourceLimitError, match="memory budget") as err:
+            role_semigroup(net, "graph", cap=62)
+        assert err.value.count == 0
+        assert len(role_semigroup(net, "graph", cap=63)) == 1
+        # per actor 64 bits, per mask 64 bits plus its own
+        h = FHyperStructure(actors(3), [[(0, 2)], [], [(), (1,)]])
+        assert h.stored_bits() == (64 + 64 + 3) + 64 + (64 + 128 + 0 + 2)
 
     def test_zero_generators_rejected(self):
         with pytest.raises(InputError):

@@ -1,11 +1,16 @@
-"""The Froidure–Pin table and the generator-only scans, pinned to naive oracles.
+"""The Froidure–Pin Cayley graphs and the generator-only scans, pinned to naive oracles.
 
 Random small graph networks and F-hypergraphs are closed under every
-composition kind; each fast result must equal the full m^2 (or m^3) oracle in
-``helpers``.  Closures past a low cap are skipped.
+composition kind; each fast result, and the table derived from the Cayley
+graphs, must equal the full m^2 (or m^3) oracle in ``helpers``.  Closures
+past a low cap are skipped.
 """
 
+import contextlib
+import io
+import os
 import random
+import tempfile
 import tracemalloc
 
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    actors,
     naive_blocks,
     naive_cayley,
     naive_compatible,
@@ -20,27 +26,35 @@ from helpers import (
     naive_holds,
     naive_hom,
     naive_identity,
+    naive_table_csv,
     naive_zero,
     random_multihyper,
     random_network,
     random_partition,
+    random_relation,
 )
 from roleblock import (
     ElementCongruence,
+    MultiNetwork,
     ResourceLimitError,
     SemigroupHom,
     WellDefinednessError,
     compose_relations,
     congruence_closure,
+    documents,
+    empty_relation,
     find_identity,
     generate_closure,
     generator_induced_hom,
+    identity_relation,
     pushforward_network,
     quotient_map,
     quotient_semigroup,
+    render_table_csv,
     role_semigroup,
     tight_compose,
 )
+from roleblock.cli import main
 from roleblock.fixtures import family_three, parent_grandparent_hyper
 from roleblock.semigroup import composition_for
 
@@ -71,7 +85,7 @@ def closure(net, compose_kind, prune_empty):
 @given(rng=st.randoms(use_true_random=False))
 def test_table_equals_naive_table(compose_kind, prune_empty, rng):
     s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
-    assert s.cayley == naive_cayley(s, composition_for(compose_kind, prune_empty))
+    assert tuple(s.cayley) == naive_cayley(s, composition_for(compose_kind, prune_empty))
     assert s.absorbing == naive_zero(s)
     assert find_identity(s) == naive_identity(s)
 
@@ -190,18 +204,86 @@ def test_closure_composes_once_per_generator_and_element(net, compose):
     generators = list(net.relations.items())
     s = generate_closure(generators, op)
     assert calls[0] == len(generators) * len(s)
-    assert s.cayley == naive_cayley(s, compose)
+    assert tuple(s.cayley) == naive_cayley(s, compose)
 
 
-def test_closure_peak_memory_is_what_it_keeps():
-    # 989 elements: the Cayley table is built once, in the tuples it keeps
-    net = random_network(random.Random(1), n=6, k=2, density=0.2)
+def test_closure_peak_memory_stays_small():
+    # 2,963 elements: a stored Cayley table alone would take about 68 MiB; the
+    # two Cayley graphs are 3 x 2,963 entries each
+    net = random_network(random.Random(4), n=6, k=3, density=0.2)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
         s = role_semigroup(net, "graph")
-        retained, peak = (size - base for size in tracemalloc.get_traced_memory())
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(s) == 989
-    assert peak <= 1.25 * retained
+    assert len(s) == 2963
+    assert peak <= 5 * 2**20
+
+
+def test_streamed_table_keeps_two_levels_of_rows():
+    # 989 elements, at most 136 in one BFS level: two levels of rows take
+    # about 2 MiB, every row at once (a stored table) about 8 MiB
+    s = role_semigroup(random_network(random.Random(1), n=6, k=2, density=0.2), "graph")
+    lines = [0]
+
+    def count(line):
+        lines[0] += 1
+
+    tracemalloc.start()
+    try:
+        render_table_csv(s, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 989 and lines[0] == len(s.nonzero_indices()) + 1
+    assert peak <= 4 * 2**20
+
+
+# the plain names, and names that CSV must quote: a comma, a quote, CR and LF
+NAMES = [("A", "B", "C"), ("P,Q", 'S"', "T\r\n")]
+
+# generators added to the random ones: an identity, a zero, or one of them alone
+EXTRAS = ["none", "identity", "empty", "identity only", "empty only"]
+
+
+@SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    extra=st.sampled_from(EXTRAS),
+    names=st.sampled_from(NAMES),
+)
+def test_streamed_table_equals_naive_table(rng, extra, names):
+    n = rng.randint(1, 4)
+    acts = actors(n)
+    rels = [] if extra.endswith("only") else [
+        random_relation(rng, acts, rng.choice([0.2, 0.3, 0.45])) for _ in range(rng.randint(1, 2))
+    ]
+    if extra.startswith("identity"):
+        rels.append(identity_relation(acts))
+    if extra.startswith("empty"):
+        rels.append(empty_relation(acts))
+    net = MultiNetwork(acts, list(zip(names, rels)))
+    s = closure(net, "graph", False)
+    if extra.startswith("identity"):
+        assert find_identity(s) is not None
+    if extra.startswith("empty"):
+        assert s.absorbing is not None
+    if extra.endswith("only"):
+        assert len(s) == 1
+
+    expected = naive_table_csv(s, compose_relations)
+    assert render_table_csv(s) == expected
+    lines = []
+    render_table_csv(s, lines.append)
+    assert "".join(lines) == expected
+    assert len(lines) == len(s.nonzero_indices()) + 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        documents.save_network(net, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["roles", "--network", path, "--compose", "graph", "--table", "-"])
+    assert code == 0
+    assert out.getvalue() == expected
