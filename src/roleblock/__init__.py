@@ -72,7 +72,6 @@ from .semigroup import (
     ElementCongruence,
     RoleSemigroup,
     SemigroupHom,
-    TableSemigroup,
     congruence_closure,
     find_identity,
     generate_closure,

@@ -43,10 +43,14 @@ def check_image(image, source, target):
     """Raise unless ``image`` sends each actor of ``source`` to an index of ``target``."""
     if len(image) != len(source):
         raise StructuralError(f"expected {len(source)} images, got {len(image)}")
-    m = len(target)
+    check_indices(image, len(target), "actors")
+
+
+def check_indices(image, m, what):
+    """Raise unless every index in ``image`` lies in range(m); ``what`` names the m things."""
     if image and not (0 <= min(image) and max(image) < m):
         v = next(v for v in image if not 0 <= v < m)
-        raise StructuralError(f"image index {v} out of range for {m} actors")
+        raise StructuralError(f"image index {v} out of range for {m} {what}")
 
 
 def canonical_blocks(block_of):

@@ -1,4 +1,4 @@
-"""Role-semigroup generation: closure, Cayley graphs and tables, congruences, quotients, homs.
+"""Role-semigroup generation: closure, Cayley graphs, congruences, quotients, homs.
 
 Elements are concrete relations or F-hypergraph structures; identity is
 canonical-form equality, never isomorphism.  Words follow the composition
@@ -9,7 +9,7 @@ the word "PS" denotes P composed after S.
 from collections.abc import Sequence
 from operator import itemgetter
 
-from .core import MultiNetwork, block_lists, canonical_blocks, compose_relations
+from .core import MultiNetwork, block_lists, canonical_blocks, check_indices, compose_relations
 from .errors import (
     InputError,
     InvariantViolation,
@@ -63,8 +63,12 @@ class RoleSemigroup:
     indexes elements[i] composed after elements[j] (row = left operand), and
     no m² table is ever stored.
 
-    Built only by ``generate_closure``, which hands over its finished tuples
-    and element index to be stored as given.
+    Built by ``generate_closure``, whose elements are relations or
+    hyperstructures, and by ``quotient_semigroup``, whose elements are its
+    classes as tuples of base indices; each hands over its finished tuples
+    and element index to be stored as given.  ``empty`` indexes the empty
+    structure (or its class), None if there is none; ``absorbing`` is
+    ``empty`` when that absorbs on both sides, else None.
     """
 
     __slots__ = (
@@ -77,13 +81,14 @@ class RoleSemigroup:
         "generator_elements",
         "compose_kind",
         "prune_empty",
+        "empty",
         "absorbing",
         "_index",
     )
 
     def __init__(
         self, elements, words, suffix, left, right, index, generator_names, generator_elements,
-        compose_kind, prune_empty,
+        compose_kind, prune_empty, empty,
     ):
         self.elements = elements
         self.words = words
@@ -95,12 +100,11 @@ class RoleSemigroup:
         self.generator_elements = generator_elements
         self.compose_kind = compose_kind
         self.prune_empty = prune_empty
-        # the zero is the empty structure, and only counts when it absorbs on both sides
-        empty = [z for z, el in enumerate(elements) if getattr(el, "is_empty", False)]
-        self.absorbing = _first_zero_or_identity(self, empty[:1], zero=True)
+        self.empty = empty
+        self.absorbing = _first_zero_or_identity(self, () if empty is None else (empty,), zero=True)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
 
     @property
     def cayley(self):
@@ -136,14 +140,14 @@ class RoleSemigroup:
         return "0" if i == self.absorbing else self.word_label(i)
 
     def word_labels(self):
-        return tuple(self.word_label(i) for i in range(len(self.elements)))
+        return tuple(self.word_label(i) for i in range(len(self)))
 
     def nonzero_indices(self):
-        return tuple(i for i in range(len(self.elements)) if i != self.absorbing)
+        return tuple(i for i in range(len(self)) if i != self.absorbing)
 
     def __repr__(self):
         return (
-            f"RoleSemigroup({self.compose_kind!r}, {len(self.elements)} elements, "
+            f"RoleSemigroup({self.compose_kind!r}, {len(self)} elements, "
             f"generators={list(self.generator_names)!r})"
         )
 
@@ -273,9 +277,10 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
             col.append(left[f][g if rest is None else col[rest]])
         right.append(tuple(col))
 
+    empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
     return RoleSemigroup(
         tuple(elements), tuple(words), tuple(suffix), left, tuple(right), index, names,
-        generator_elements, compose_kind, prune_empty,
+        generator_elements, compose_kind, prune_empty, empty,
     )
 
 
@@ -294,10 +299,9 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
 
 
 def find_identity(s):
-    """Index of the two-sided identity of a generated semigroup, if present.
+    """Index of the two-sided identity of the semigroup, if present.
 
-    Checked against the generators only; raises StructuralError for a
-    ``TableSemigroup``.
+    Checked against the generators only.
     """
     return _first_zero_or_identity(s, range(len(s)), zero=False)
 
@@ -343,17 +347,11 @@ def render_table_csv(s, write=None):
             write(shown[x] + "," + ",".join(_pick(shown, row)) + "\n")
 
 
-def _require_generated(s):
-    if not isinstance(s, RoleSemigroup):
-        raise StructuralError(f"needs a generated RoleSemigroup, got {type(s).__name__}")
-
-
 def _generator_graphs(s):
     # (g, left, right) per distinct generator element g: its row g*x and its
     # column x*g.  The distinct generator elements are discovered first, as
     # 0..u-1; every element is a product of them, so a law that holds on their
     # rows and columns holds on every element, by induction on word length
-    _require_generated(s)
     letters = [s.words[g][0] for g in range(len(set(s.generator_elements)))]
     return [(g, s.left[a], s.right[a]) for g, a in enumerate(letters)]
 
@@ -375,9 +373,8 @@ class ElementCongruence:
     __slots__ = ("base", "block_of", "num_classes")
 
     def __init__(self, base, block_of):
-        _require_generated(base)
         block_of, count = canonical_blocks(block_of)
-        if len(block_of) != len(base.elements):
+        if len(block_of) != len(base):
             raise StructuralError("congruence must assign a class to every element")
         self.base = base
         self.block_of = block_of
@@ -387,10 +384,31 @@ class ElementCongruence:
         return block_lists(self.block_of, self.num_classes)
 
     def is_compatible(self):
-        """Whether the partition is a congruence: the congruence closure of
-        the pairs inside its classes is the partition itself."""
-        pairs = [(c[0], x) for c in self.classes() for x in c[1:]]
-        return congruence_closure(self.base, pairs).block_of == self.block_of
+        """Whether the partition is a congruence, checked on generator edges."""
+        return _quotient_graphs(self.base, self.block_of, self.num_classes) is not None
+
+
+def _quotient_graphs(s, block_of, count):
+    # (reps, left, right) of the quotient by canonically numbered classes, or
+    # None if they are no congruence.  reps[c] is class c's first member.  A
+    # partition is a congruence exactly when every member's generator edges
+    # land in the classes where its first member's land: every element is a
+    # product of generators, so that extends to every multiplier
+    reps = []
+    for x, c in enumerate(block_of):
+        if c == len(reps):
+            reps.append(x)
+    graphs = []
+    for edges in (s.left, s.right):
+        rows = []
+        for row in edges:
+            landed = _pick(block_of, row)
+            qrow = _pick(landed, reps)
+            if _pick(qrow, block_of) != landed:
+                return None
+            rows.append(qrow)
+        graphs.append(tuple(rows))
+    return reps, *graphs
 
 
 def congruence_closure(s, pairs):
@@ -428,37 +446,6 @@ def congruence_closure(s, pairs):
     return ElementCongruence(s, [find(i) for i in range(m)])
 
 
-class TableSemigroup:
-    """A finite semigroup given by labels and a Cayley table only.
-
-    ``row`` and ``product`` read the table; a ``RoleSemigroup`` offers the
-    same two, derived from its Cayley graphs.
-    """
-
-    __slots__ = ("labels", "cayley")
-
-    def __init__(self, labels, cayley):
-        self.labels = tuple(labels)
-        self.cayley = tuple(tuple(row) for row in cayley)
-
-    def __len__(self):
-        return len(self.labels)
-
-    def row(self, i):
-        return self.cayley[i]
-
-    def product(self, i, j):
-        return self.cayley[i][j]
-
-    def word_label(self, i):
-        return self.labels[i]
-
-    display_label = word_label
-
-    def __repr__(self):
-        return f"TableSemigroup({list(self.labels)!r})"
-
-
 class SemigroupHom:
     """A map between semigroups given element-by-element."""
 
@@ -468,6 +455,7 @@ class SemigroupHom:
         image = tuple(image)
         if len(image) != len(source):
             raise StructuralError("hom must assign an image to every source element")
+        check_indices(image, len(target), "elements")
         self.source = source
         self.target = target
         self.image = image
@@ -479,8 +467,7 @@ class SemigroupHom:
     def holds(self):
         """Check the homomorphism law on the source's generator rows.
 
-        Asks for a generated source (StructuralError for a ``TableSemigroup``)
-        and an associative target table.
+        Asks for an associative target.
         """
         return self._first_failure() is None
 
@@ -506,24 +493,32 @@ class SemigroupHom:
 
 
 def quotient_semigroup(s, congruence):
-    """Quotient table plus the canonical surjection onto it.
+    """The quotient by a congruence, plus the canonical surjection onto it.
 
-    Classes are labelled by brace-joining their members' display labels.
-    Raises InvariantViolation if the classes fail compatibility.
+    The quotient is a ``RoleSemigroup`` over the same generator names, whose
+    elements are the classes: the classes of the generators generate it.
+    Classes are numbered by first member, whose word is the class's earliest
+    shortest word, so they come in the order the quotient's own closure would
+    list them.  Its Cayley graphs are the classes of the base's edges from
+    each first member, k·q entries; no product is computed.  Raises
+    InvariantViolation if the classes fail compatibility.
     """
     if congruence.base is not s:
         raise StructuralError("congruence belongs to a different semigroup")
-    classes = congruence.classes()
     b = congruence.block_of
-    reps = [c[0] for c in classes]
-    if not congruence.is_compatible():
+    graphs = _quotient_graphs(s, b, congruence.num_classes)
+    if graphs is None:
         raise InvariantViolation("element classes are not a congruence")
-    qcay = [[b[s.product(ri, rj)] for rj in reps] for ri in reps]
-    labels = []
-    for c in classes:
-        members = [s.display_label(i) for i in c]
-        labels.append(members[0] if len(members) == 1 else "{" + ",".join(members) + "}")
-    q = TableSemigroup(labels, qcay)
+    reps, left, right = graphs
+    classes = congruence.classes()
+    # a first member's suffix is the first member of its own class: a shorter
+    # or earlier word for that class would give one for the member too
+    suffix = tuple(None if s.suffix[r] is None else b[s.suffix[r]] for r in reps)
+    q = RoleSemigroup(
+        classes, _pick(s.words, reps), suffix, left, right, {c: i for i, c in enumerate(classes)},
+        s.generator_names, _pick(b, s.generator_elements), s.compose_kind, s.prune_empty,
+        None if s.empty is None else b[s.empty],
+    )
     return q, SemigroupHom(s, q, b)
 
 
@@ -545,8 +540,6 @@ def generator_induced_hom(src, dst):
     not independent of word choice; the witness words agree in the source but
     evaluate to different target elements.
     """
-    _require_generated(src)
-    _require_generated(dst)
     if src.generator_names != dst.generator_names:
         raise StructuralError("generator name lists differ")
     if (src.compose_kind, src.prune_empty) != (dst.compose_kind, dst.prune_empty):

@@ -335,34 +335,61 @@ class TestQuotientSemigroup:
             quotient_semigroup(s, ElementCongruence(s, block_of))
 
 
-class TestTableSemigroupIsNotGenerated:
-    """A quotient has a table but no generators, so generator scans refuse it."""
+class TestQuotientIsGenerated:
+    """A quotient is generated by its generators' classes, so generator scans take it."""
 
-    NEEDS = "needs a generated RoleSemigroup, got TableSemigroup"
-
-    def family_quotient(self):
+    def sister_brother_quotient(self):
         s = family_semigroup()
-        return s, quotient_semigroup(s, congruence_closure(s, []))[0]
+        net = family_three()
+        pairs = [(s.index_of(net.relations["S"]), s.index_of(net.relations["B"]))]
+        return (s, *quotient_semigroup(s, congruence_closure(s, pairs)))
 
     def test_hom_holds(self):
-        _, q = self.family_quotient()
-        with pytest.raises(StructuralError, match=self.NEEDS):
-            SemigroupHom(q, q, range(len(q))).holds()
+        _, q, _ = self.sister_brother_quotient()
+        assert SemigroupHom(q, q, range(len(q))).holds()
+        # P*P lands in the zero class, so sending everything to P breaks the law
+        assert not SemigroupHom(q, q, [1] * len(q)).holds()
 
     def test_generator_induced_hom(self):
-        s, q = self.family_quotient()
-        with pytest.raises(StructuralError, match=self.NEEDS):
-            generator_induced_hom(s, q)
+        s, q, to_quotient = self.sister_brother_quotient()
+        assert generator_induced_hom(s, q).image == to_quotient.image
+        assert generator_induced_hom(q, q).image == (0, 1)
 
     def test_element_congruence(self):
-        _, q = self.family_quotient()
-        with pytest.raises(StructuralError, match=self.NEEDS):
-            ElementCongruence(q, [0] * len(q))
+        _, q, _ = self.sister_brother_quotient()
+        c = ElementCongruence(q, [0] * len(q))
+        assert c.is_compatible()
+        one, to_one = quotient_semigroup(q, c)
+        assert len(one) == 1 and to_one.holds()
+        assert one.elements == ((0, 1),)
 
     def test_find_identity(self):
-        _, q = self.family_quotient()
-        with pytest.raises(StructuralError, match=self.NEEDS):
-            find_identity(q)
+        s, q, _ = self.sister_brother_quotient()
+        assert find_identity(q) is None
+        # the one-element quotient is its own identity and zero
+        one, _ = quotient_semigroup(s, ElementCongruence(s, [0] * len(s)))
+        assert find_identity(one) == 0 == one.absorbing
+
+    def test_words_and_zero(self):
+        s, q, _ = self.sister_brother_quotient()
+        # each class carries its first member's word; S's class holds the zero
+        assert q.word_labels() == ("S", "P")
+        assert q.absorbing == 0 and q.display_label(0) == "0"
+        assert q.generator_elements == (0, 0, 1)
+        assert q.index_of(q.elements[1]) == 1 and s.word_label(q.elements[1][0]) == "P"
+
+
+class TestSemigroupHom:
+    @pytest.mark.parametrize("bad", [8, 999, -1])
+    def test_image_out_of_range_rejected(self, bad):
+        s = family_semigroup()
+        with pytest.raises(StructuralError, match=f"image index {bad} out of range for 8 elements"):
+            SemigroupHom(s, s, [0] * (len(s) - 1) + [bad])
+
+    def test_image_length_checked(self):
+        s = family_semigroup()
+        with pytest.raises(StructuralError, match="hom must assign an image to every source element"):
+            SemigroupHom(s, s, [0])
 
 
 class TestGeneratorInducedHom:

@@ -165,6 +165,46 @@ def test_holds_equals_full_table_scan(compose_kind, prune_empty, rng):
     assert scrambled.holds() == naive_holds(scrambled)
 
 
+def assert_quotient_matches_oracles(s, table, empty, rng, depth):
+    # ``table`` is s's table, already pinned to an oracle, and ``empty`` the
+    # index of the empty structure's class in s (None if there is none); the
+    # quotient is checked, then a quotient of it, ``depth`` levels down
+    m = len(s)
+    pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2))]
+    c = congruence_closure(s, pairs)
+    q, to_quotient = quotient_semigroup(s, c)
+    b = c.block_of
+    qtable = tuple(q.cayley)
+    assert all(qtable[b[i]][b[j]] == b[table[i][j]] for i in range(m) for j in range(m))
+    assert list(q.words) == sorted(q.words, key=lambda w: (len(w), w))
+    assert find_identity(q) == naive_identity(q)
+
+    qm = len(q)
+    qpairs = [(rng.randrange(qm), rng.randrange(qm)) for _ in range(rng.randint(0, 2))]
+    assert congruence_closure(q, qpairs).block_of == ElementCongruence(q, naive_congruence(q, qpairs)).block_of
+    block_of = [rng.randrange(rng.randint(1, qm)) for _ in range(qm)]
+    assert ElementCongruence(q, block_of).is_compatible() == naive_compatible(q, block_of)
+
+    assert naive_hom(s, q) == (list(b), None)
+    assert generator_induced_hom(s, q).image == b == to_quotient.image
+
+    zero = None if empty is None else b[empty]
+    absorbs = zero is not None and all(qtable[zero][x] == zero == qtable[x][zero] for x in range(qm))
+    assert q.absorbing == (zero if absorbs else None)
+    if depth:
+        assert_quotient_matches_oracles(q, qtable, zero, rng, depth - 1)
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_quotients_match_naive_oracles(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    table = naive_cayley(s, composition_for(compose_kind, prune_empty))
+    empty = next((z for z, el in enumerate(s.elements) if el.is_empty), None)
+    assert_quotient_matches_oracles(s, table, empty, rng, depth=1)
+
+
 def test_holds_is_false_on_an_image_with_one_entry_changed():
     s = role_semigroup(family_three(), "graph")
     identity = generator_induced_hom(s, s)
