@@ -136,6 +136,13 @@ def _cmd_blockmodel(args):
 
 
 def _cmd_roles(args):
+    """Print the role semigroup's summary and, with ``--words``, one line per element.
+
+    A word line is the element's word label, a tab, and its edges as the
+    one-line JSON of ``documents.structure_lines``; lines follow closure order
+    and are written one at a time.  With ``--table -`` the CSV table takes
+    standard output, so the summary and the word lines go to standard error.
+    """
     net = _load_multirelational(args.network)
     s = role_semigroup(net, args.compose, prune_empty=args.prune_empty, cap=args.cap)
 
@@ -153,9 +160,9 @@ def _cmd_roles(args):
     print(f"identity: {s.word_label(ident) if ident is not None else 'absent'}",
           file=summary_stream)
     if args.words:
-        for i in range(len(s)):
-            doc = json.dumps(documents.structure_to_doc(s.elements[i]), sort_keys=True)
-            print(f"{s.word_label(i)}\t{doc}", file=summary_stream)
+        lines = documents.structure_lines(s.elements)
+        for i, line in enumerate(lines):
+            summary_stream.write(f"{s.word_label(i)}\t{line}\n")
 
     if table_to_stdout:
         render_table_csv(s, sys.stdout.write)

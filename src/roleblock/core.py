@@ -203,6 +203,39 @@ class Relation:
         return f"Relation({sorted(self.label_pairs())!r})"
 
 
+def _reverse(out, n):
+    """Each of n nodes' in-lists, from an iterable of their out-lists, in node order."""
+    into = [[] for _ in range(n)]
+    for v, us in enumerate(out):
+        for u in us:
+            into[u].append(v)
+    return into
+
+
+class Converse:
+    """A relation read backwards: i's signature is the images of its in-neighbours.
+
+    It gives what the regularity checks, the brute-force search and
+    validation read of a structure (``actors``, ``signature``, ``support``),
+    from the relation's decoded out-lists read backwards, as ``_predecessors``
+    reads them; no transposed relation is built.
+    """
+
+    __slots__ = ("actors", "_into")
+
+    def __init__(self, r):
+        self.actors = r.actors
+        self._into = _reverse(map(mask_members, r.rows), len(r.rows))
+
+    def signature(self, i, image):
+        """The images of i's in-neighbours under ``image``."""
+        return frozenset(map(image.__getitem__, self._into[i]))
+
+    def support(self, i):
+        """The actors that i's signature reads: its in-neighbours, in index order."""
+        return tuple(self._into[i])
+
+
 class Partition:
     """A partition of an ActorSet with first-occurrence canonical block numbering."""
 
@@ -328,12 +361,16 @@ class MultiNetwork(MultiStructure):
     __slots__ = ()
 
     def views(self, mode="both"):
-        """The relations ("out"), their transposes ("in") or both, transposed lazily."""
+        """The relations ("out"), their converses ("in") or both, each converse built lazily.
+
+        A converse gives ``actors``, ``signature`` and ``support`` as a
+        relation does, read from the relation's out-lists (see ``Converse``).
+        """
         _check_mode(mode)
         rels = self.relations.values()
         return chain(
             rels if mode != "in" else (),
-            (r.transpose() for r in rels) if mode != "out" else (),
+            map(Converse, rels) if mode != "out" else (),
         )
 
 
@@ -435,7 +472,7 @@ def is_outward_regular(r, e):
 
 def is_inward_regular(r, e):
     """Mirror of the outward check with every edge reversed."""
-    return signatures_agree([r.transpose()], e)
+    return signatures_agree([Converse(r)], e)
 
 
 def is_regular(r, e):
@@ -482,11 +519,7 @@ def _predecessors(structures, n, mode):
             for u, vs in enumerate(out):
                 add(t * size + u, vs)
         if mode != "out":
-            into = [[] for _ in range(n)]
-            for v, us in enumerate(out):
-                for u in us:
-                    into[u].append(v)
-            for u, vs in enumerate(into):
+            for u, vs in enumerate(_reverse(out, n)):
                 add((k + t) * size + u, vs)
     for mask, t in masks.items():
         add(2 * k * size + t, mask_members(mask))
@@ -497,7 +530,7 @@ def refine(structures, actors, seed=None, mode="out"):
     """Coarsest partition refining ``seed`` that is regular for every structure.
 
     ``mode`` reads each structure forwards ("out"), backwards ("in") or both
-    ways, as ``MultiNetwork.views`` selects relations or their transposes;
+    ways, as ``MultiNetwork.views`` selects relations or their converses;
     F-structures point one way and take "out" only.
 
     Counting refinement after Paige & Tarjan (1987), over an edge view decoded

@@ -17,7 +17,7 @@ import contextlib
 import json
 import os
 
-from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation
+from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation, mask_members
 from .errors import InputError, StructuralError
 from .hypergraph import FHyperStructure, MultiHypergraph, UndirectedHypergraph
 from .reduction import ActorMap
@@ -186,6 +186,84 @@ def structure_to_doc(s):
     if isinstance(s, Relation):
         return sorted([a, b] for a, b in s.label_pairs())
     return [{"src": src, "tgt": list(tgt)} for src, tgt in sorted(s.label_edges())]
+
+
+def structure_lines(structures):
+    """Yield ``json.dumps(structure_to_doc(x), sort_keys=True)`` for each structure x.
+
+    The text is the same, byte for byte, but each piece is made once per
+    roster: a line lists its actors' parts in label order, the JSON of one
+    actor's part (``Relation.rows[a]``, or an F-structure's ``masks[a]``) is
+    made once per distinct (actor, part), and an F-structure's target mask is
+    decoded once.  Later structures that hold the same part reuse its text.
+    The text is kept only while the generator runs, and only for the roster
+    of the structure at hand.
+    """
+    form = None
+    for x in structures:
+        if form is None or x.actors is not form.actors:
+            form = _Fragments(x.actors)
+        yield form.line(x)
+
+
+class _Fragments:
+    """The JSON text of one roster's actor parts, each made once (see ``structure_lines``)."""
+
+    def __init__(self, actors):
+        labels = actors.labels
+        self.actors = actors
+        self.quoted = [json.dumps(lab) for lab in labels]
+        self.order = sorted(range(len(labels)), key=labels.__getitem__)
+        self.rank = [0] * len(labels)
+        for r, a in enumerate(self.order):
+            self.rank[a] = r
+        self.parts = {}
+        self.targets = {}
+
+    def line(self, x):
+        """The JSON list of ``x``'s edges, actors in label order."""
+        if isinstance(x, Relation):
+            parts, fragment = x.rows, self._pairs
+        else:
+            parts, fragment = x.masks, self._hyperedges
+        cache = self.parts
+        out = []
+        for a in self.order:
+            part = parts[a]
+            if part:
+                key = (a, part)
+                text = cache.get(key)
+                if text is None:
+                    text = cache[key] = fragment(self.quoted[a], part)
+                out.append(text)
+        return "[" + ", ".join(out) + "]"
+
+    def _pairs(self, src, row):
+        """The [src, tgt] pairs of one row, targets in label order."""
+        quoted = self.quoted
+        return ", ".join(
+            f"[{src}, {quoted[b]}]" for b in sorted(mask_members(row), key=self.rank.__getitem__)
+        )
+
+    def _hyperedges(self, src, family):
+        """The {"src", "tgt"} hyperedges of one family, ordered by their targets' labels."""
+        return ", ".join(
+            f'{{"src": {src}, "tgt": [{text}]}}' for _, text in sorted(map(self._target, family))
+        )
+
+    def _target(self, mask):
+        """A target's sort key, its members' label ranks, and its members' JSON.
+
+        Members stay in roster order within a target, as ``label_edges`` gives them.
+        """
+        got = self.targets.get(mask)
+        if got is None:
+            members = mask_members(mask)
+            got = self.targets[mask] = (
+                [self.rank[j] for j in members],
+                ", ".join(self.quoted[j] for j in members),
+            )
+        return got
 
 
 def network_to_doc(net):

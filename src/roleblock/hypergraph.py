@@ -121,6 +121,11 @@ class FHyperStructure:
         )
 
     @property
+    def masks(self):
+        """Each actor's family of target masks, a sorted tuple of distinct ints."""
+        return self._masks
+
+    @property
     def targets(self):
         """Each actor's target sets as sorted index tuples, in sorted order."""
         return tuple(_decode(family) for family in self._masks)

@@ -141,7 +141,7 @@ def validate_positional_reduction(f, src, dst, mode="out"):
     f is a coalgebra morphism when, for every actor a, the image of a's
     signature is exactly the signature of f(a): "preserves" is the inclusion
     into dst, "reflects" the inclusion back.  ``mode="in"`` (graphs only)
-    transposes every relation on both sides first, which turns incoming-edge
+    reads every relation on both sides backwards, which turns incoming-edge
     reflection into the outgoing check.  The blockmodel flag recomputes dst
     from src and f rather than trusting it.
     """

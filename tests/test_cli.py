@@ -45,6 +45,24 @@ PS,PB,0,0,PS,0,0,0
 SB,0,0,S,0,0,0,SB
 """
 
+# the family summary and word listing, on stdout, or on stderr with --table -
+FAMILY_WORDS = """\
+kind: graph
+generators: B,P,S
+elements: 8
+nonzero: 7
+absorbing: BB
+identity: absent
+B\t[["b", "a"]]
+P\t[["a", "d"], ["b", "d"]]
+S\t[["a", "b"]]
+BB\t[]
+BS\t[["a", "a"]]
+PB\t[["b", "d"]]
+PS\t[["a", "d"]]
+SB\t[["b", "b"]]
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -226,6 +244,18 @@ class TestRoles:
         assert "nonzero: 2" in out
         assert "absorbing: H1H2" in out
         assert out.count("\t") == 3  # one word line per element
+
+    @pytest.mark.parametrize("table", [[], ["--table", "-"]], ids=["stdout", "stderr"])
+    def test_words_listing_bytes(self, files, capsys, table):
+        _, wn, _, _ = files
+        path = wn("family.json", family_three())
+        code = main(["roles", "--network", path, "--compose", "graph", "--words", *table])
+        captured = capsys.readouterr()
+        assert code == 0
+        if table:
+            assert (captured.out, captured.err) == (FAMILY_CSV, FAMILY_WORDS)
+        else:
+            assert (captured.out, captured.err) == (FAMILY_WORDS, "")
 
     def test_table_file(self, files):
         tmp_path, wn, _, _ = files

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import (
     CountedEdges,
     actors,
+    naive_bruteforce,
     naive_outward_regular,
     naive_preserves,
     naive_pushforward,
@@ -287,6 +288,45 @@ def test_validation_flags_equal_naive_flags(kind, mode, rng):
         f.is_surjective
         and all(naive_pushforward(src.relations[n], f) == dst.relations[n] for n in src.names)
     )
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_inward_checks_build_no_transpose(rng):
+    # every inward check reads the relations backwards: with transpose()
+    # raising, each still equals its oracle on the transposed relations
+    net = graph(rng)
+    assume(len(net.actors) > 0)
+    if rng.random() < 0.5:
+        e = random_partition(rng, net.actors)
+    else:
+        e = max_regular_partition(net, mode="in")
+    f = random_map(rng, net, actors(rng.randint(1, len(net.actors) + 1), prefix="w"))
+    dst = random_target(rng, net, f)
+    rels = list(net.relations.values())
+    converses = [r.transpose() for r in rels]
+    inward = [naive_outward_regular(t, e) for t in converses]
+    outward = [naive_outward_regular(r, e) for r in rels]
+    coarsest = {
+        "in": naive_bruteforce(converses, net.actors),
+        "both": naive_bruteforce(rels + converses, net.actors),
+    }
+
+    def refuse(self):
+        raise AssertionError("an inward check built a transposed relation")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Relation, "transpose", refuse)
+        assert [is_inward_regular(r, e) for r in rels] == inward
+        assert network_passes(net, e, "in") == all(inward)
+        assert network_passes(net, e, "both") == (all(inward) and all(outward))
+        for mode, expected in coarsest.items():
+            assert coarsest_regular_bruteforce(net, mode) == expected
+        report = validate_positional_reduction(f, net, dst, mode="in")
+    for name, s in net.relations.items():
+        s, d = s.transpose(), dst.relations[name].transpose()
+        assert report.preserves[name] == naive_preserves(f, s, d)
+        assert report.reflects[name] == naive_reflects(f, s, d)
 
 
 @SETTINGS
