@@ -160,9 +160,8 @@ def _cmd_roles(args):
     print(f"identity: {s.word_label(ident) if ident is not None else 'absent'}",
           file=summary_stream)
     if args.words:
-        lines = documents.structure_lines(s.elements)
-        for i, line in enumerate(lines):
-            summary_stream.write(f"{s.word_label(i)}\t{line}\n")
+        for label, line in zip(s.word_labels(), documents.structure_lines(s.elements)):
+            summary_stream.write(f"{label}\t{line}\n")
 
     if table_to_stdout:
         render_table_csv(s, sys.stdout.write)
@@ -190,8 +189,9 @@ def _cmd_induce(args):
         print(f"witness: {exc}")
         return 1
     print("hom: well-defined")
-    for i in range(len(s_src)):
-        print(f"  {s_src.word_label(i)} -> {s_dst.word_label(hom.image[i])}")
+    dst_labels = s_dst.word_labels()
+    for label, j in zip(s_src.word_labels(), hom.image):
+        print(f"  {label} -> {dst_labels[j]}")
     print(f"hom surjective: {yes_no(hom.is_surjective)}")
     return 0 if report.ok else 1
 

@@ -34,11 +34,6 @@ def mask_members(mask):
     return tuple(out)
 
 
-def _check_mode(mode):
-    if mode not in MODES:
-        raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def check_image(image, source, target):
     """Raise unless ``image`` sends each actor of ``source`` to an index of ``target``."""
     if len(image) != len(source):
@@ -203,29 +198,23 @@ class Relation:
         return f"Relation({sorted(self.label_pairs())!r})"
 
 
-def _reverse(out, n):
-    """Each of n nodes' in-lists, from an iterable of their out-lists, in node order."""
-    into = [[] for _ in range(n)]
-    for v, us in enumerate(out):
-        for u in us:
-            into[u].append(v)
-    return into
-
-
 class Converse:
     """A relation read backwards: i's signature is the images of its in-neighbours.
 
-    It gives what the regularity checks, the brute-force search and
-    validation read of a structure (``actors``, ``signature``, ``support``),
-    from the relation's decoded out-lists read backwards, as ``_predecessors``
-    reads them; no transposed relation is built.
+    It is a structure like any other (``actors``, ``signature``, ``support``,
+    ``successors``), read from the relation's decoded out-lists turned round
+    once; no transposed relation is built.
     """
 
     __slots__ = ("actors", "_into")
 
     def __init__(self, r):
         self.actors = r.actors
-        self._into = _reverse(map(mask_members, r.rows), len(r.rows))
+        into = [[] for _ in r.rows]
+        for v, row in enumerate(r.rows):
+            for u in mask_members(row):
+                into[u].append(v)
+        self._into = tuple(map(tuple, into))
 
     def signature(self, i, image):
         """The images of i's in-neighbours under ``image``."""
@@ -233,7 +222,11 @@ class Converse:
 
     def support(self, i):
         """The actors that i's signature reads: its in-neighbours, in index order."""
-        return tuple(self._into[i])
+        return self._into[i]
+
+    def successors(self, masks):
+        """Each actor's in-neighbours as an index tuple; like a relation, it adds no masks."""
+        return self._into
 
 
 class Partition:
@@ -311,9 +304,9 @@ class MultiStructure:
     """One actor roster carrying named structures, in declaration order.
 
     A structure is a ``Relation`` or an ``FHyperStructure``; both give
-    ``signature``, ``support``, ``successors`` and ``pushforward``, which is
-    all that the shared regularity, refinement, brute-force, blockmodel and
-    validation code asks of them.
+    ``signature``, ``support``, ``successors`` and ``pushforward``.  The
+    shared regularity, refinement, brute-force and validation code reads the
+    structures that ``views`` selects, and a blockmodel pushes each forward.
     """
 
     __slots__ = ("actors", "relations")
@@ -361,12 +354,9 @@ class MultiNetwork(MultiStructure):
     __slots__ = ()
 
     def views(self, mode="both"):
-        """The relations ("out"), their converses ("in") or both, each converse built lazily.
-
-        A converse gives ``actors``, ``signature`` and ``support`` as a
-        relation does, read from the relation's out-lists (see ``Converse``).
-        """
-        _check_mode(mode)
+        """The relations ("out"), their converses ("in") or both, each converse built lazily."""
+        if mode not in MODES:
+            raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
         rels = self.relations.values()
         return chain(
             rels if mode != "in" else (),
@@ -486,26 +476,25 @@ def network_passes(net, e, mode="both"):
 
 # ── coarsest regular partition: refinement and brute force ──────────────────
 
-def _predecessors(structures, n, mode):
-    """The edge view of ``structures`` read in ``mode``, as each node's in-edges.
+def _predecessors(structures, actors):
+    """The edge view of ``structures`` on ``actors``, as each node's in-edges.
 
-    Nodes 0..n-1 are the actors; ``successors`` numbers one more node per
-    distinct target mask.  Structure t gives label t forwards and label k + t
-    backwards, for k structures, and each target-mask node has an edge
-    labelled 2k to each of its members.  A backward edge u -> v is the
-    forward edge v -> u, so both kinds come from the one decoded out-list and
-    no transposed relation is built.
+    Nodes 0..n-1 are the n actors; ``successors`` numbers one more node per
+    distinct target mask.  Structure t gives label t, for k structures, and
+    each target-mask node has an edge labelled k to each of its members.
 
     Edge u -> v with label l is the entry l * N + u of ``pred[v]``, for N
     nodes in all, or ~(l * N + u) when it is u's only edge with label l.
-    Returns ``pred``, N and the number of labels.
+    Returns ``pred``, N and the number of labels.  No structure is kept, so
+    a converse made by ``views`` is freed before the refinement rounds start.
     """
     masks = {}
-    lists = [s.successors(masks) for s in structures]
-    if masks and mode != "out":
-        raise StructuralError(f"mode {mode!r} applies only to graph networks")
+    lists = []
+    for s in structures:
+        s.actors.require_same(actors)
+        lists.append(s.successors(masks))
     k = len(lists)
-    size = n + len(masks)
+    size = len(actors) + len(masks)
     pred = [[] for _ in range(size)]
 
     def add(entry, targets):
@@ -515,23 +504,15 @@ def _predecessors(structures, n, mode):
             pred[v].append(entry)
 
     for t, out in enumerate(lists):
-        if mode != "in":
-            for u, vs in enumerate(out):
-                add(t * size + u, vs)
-        if mode != "out":
-            for u, vs in enumerate(_reverse(out, n)):
-                add((k + t) * size + u, vs)
+        for u, vs in enumerate(out):
+            add(t * size + u, vs)
     for mask, t in masks.items():
-        add(2 * k * size + t, mask_members(mask))
-    return pred, size, 2 * k + 1
+        add(k * size + t, mask_members(mask))
+    return pred, size, k + 1
 
 
-def refine(structures, actors, seed=None, mode="out"):
+def refine(structures, actors, seed=None):
     """Coarsest partition refining ``seed`` that is regular for every structure.
-
-    ``mode`` reads each structure forwards ("out"), backwards ("in") or both
-    ways, as ``MultiNetwork.views`` selects relations or their converses;
-    F-structures point one way and take "out" only.
 
     Counting refinement after Paige & Tarjan (1987), over an edge view decoded
     once per call by each structure's ``successors``.  An F-structure is read
@@ -561,15 +542,11 @@ def refine(structures, actors, seed=None, mode="out"):
     The fixpoint is the unique coarsest regular refinement of the seed, so
     the canonically numbered result does not depend on processing order.
     """
-    _check_mode(mode)
     if seed is None:
         seed = Partition.universal(actors)
     seed.actors.require_same(actors)
-    structures = list(structures)
-    for s in structures:
-        s.actors.require_same(actors)
     n = len(actors)
-    pred, size, labels = _predecessors(structures, n, mode)
+    pred, size, labels = _predecessors(structures, actors)
     span = labels * size
     blocks = list(seed.blocks())
     if size > n:
@@ -654,7 +631,7 @@ def refine(structures, actors, seed=None, mode="out"):
 
 def max_regular_partition(net, mode="both", seed=None):
     """Coarsest regular refinement of ``seed`` for the relations selected by ``mode``."""
-    return refine(net.relations.values(), net.actors, seed, mode)
+    return refine(net.views(mode), net.actors, seed)
 
 
 def enumerate_partitions(actors):

@@ -140,7 +140,11 @@ class RoleSemigroup:
         return "0" if i == self.absorbing else self.word_label(i)
 
     def word_labels(self):
-        return tuple(self.word_label(i) for i in range(len(self)))
+        """Every element's word label: its first letter's name before its suffix's label."""
+        names, labels = self.generator_names, []
+        for word, rest in zip(self.words, self.suffix):
+            labels.append(names[word[0]] + ("" if rest is None else labels[rest]))
+        return tuple(labels)
 
     def nonzero_indices(self):
         return tuple(i for i in range(len(self)) if i != self.absorbing)

@@ -443,8 +443,8 @@ class CountedSignatures:
 class CountedEdges:
     """A structure that forwards ``successors`` to another and counts the calls.
 
-    It offers nothing else, not even ``transpose``, so a refinement in any
-    mode can read it only through its edge view.
+    It offers nothing else, so a refinement can read it only through its
+    edge view.
     """
 
     def __init__(self, inner):

@@ -380,12 +380,6 @@ class TestMaxRegularPartition:
             with pytest.raises(StructuralError, match="different actor sets"):
                 refine([s], actors(size))
 
-    @pytest.mark.parametrize("mode", ["in", "both"])
-    def test_refine_reads_f_structures_forwards_only(self, mode):
-        h = FHyperStructure(actors(2), [[(1,)], []])
-        with pytest.raises(StructuralError, match="only to graph networks"):
-            refine([h], h.actors, mode=mode)
-
 
 # ── enumeration and brute force ──────────────────────────────────────────────
 

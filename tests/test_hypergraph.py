@@ -20,6 +20,7 @@ from roleblock import (
     StructuralError,
     UndirectedHypergraph,
     blockmodel_multihypergraph,
+    coarsest_regular_bruteforce,
     coarsest_regular_hyper_bruteforce,
     compose_relations,
     embed_relation,
@@ -29,7 +30,9 @@ from roleblock import (
     is_regular_hyper,
     loose_compose,
     max_regular_hyper_partition,
+    max_regular_partition,
     neighbourhood,
+    network_passes,
     prune_empty_targets,
     tight_compose,
     to_relation,
@@ -379,6 +382,23 @@ class TestMaxRegularHyperPartition:
             got = max_regular_hyper_partition(mh, seed=seed)
             assert got.refines(seed)
             assert all(is_regular_hyper(h, got) for h in mh.relations.values())
+
+    @pytest.mark.parametrize("mode", ["in", "both"])
+    def test_inward_modes_refuse_f_structures(self, mode):
+        # an F-structure points one way: its views, and every graph call that
+        # reads them, refuse to read it backwards
+        acts = actors(2)
+        mh = MultiHypergraph(acts, [("H", FHyperStructure(acts, [[(1,)], []]))])
+        e = Partition.universal(acts)
+        calls = [
+            lambda: mh.views(mode),
+            lambda: max_regular_partition(mh, mode=mode),
+            lambda: network_passes(mh, e, mode),
+            lambda: coarsest_regular_bruteforce(mh, mode),
+        ]
+        for call in calls:
+            with pytest.raises(StructuralError, match="only to graph networks"):
+                call()
 
 
 # ── graph embedding ──────────────────────────────────────────────────────────

@@ -165,6 +165,11 @@ def test_holds_equals_full_table_scan(compose_kind, prune_empty, rng):
     assert scrambled.holds() == naive_holds(scrambled)
 
 
+def naive_word_labels(s):
+    """Each element's word label, its whole word's generator names joined afresh."""
+    return tuple("".join(s.generator_names[g] for g in word) for word in s.words)
+
+
 def assert_quotient_matches_oracles(s, table, empty, rng, depth):
     # ``table`` is s's table, already pinned to an oracle, and ``empty`` the
     # index of the empty structure's class in s (None if there is none); the
@@ -177,6 +182,7 @@ def assert_quotient_matches_oracles(s, table, empty, rng, depth):
     qtable = tuple(q.cayley)
     assert all(qtable[b[i]][b[j]] == b[table[i][j]] for i in range(m) for j in range(m))
     assert list(q.words) == sorted(q.words, key=lambda w: (len(w), w))
+    assert q.word_labels() == naive_word_labels(q)
     assert find_identity(q) == naive_identity(q)
 
     qm = len(q)
@@ -202,6 +208,7 @@ def test_quotients_match_naive_oracles(compose_kind, prune_empty, rng):
     s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
     table = naive_cayley(s, composition_for(compose_kind, prune_empty))
     empty = next((z for z, el in enumerate(s.elements) if el.is_empty), None)
+    assert s.word_labels() == naive_word_labels(s)
     assert_quotient_matches_oracles(s, table, empty, rng, depth=1)
 
 

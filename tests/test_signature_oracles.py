@@ -7,7 +7,7 @@ that ``successors`` gives.  Each result on random relations and F-structures
 brute-force search.  Seeded refinement is pinned to the round-based
 ``naive_refine`` beyond brute force's reach: graphs of up to 24 actors, some
 with hub rows, and F-structures that share target masks, on up to 2,000
-actors.  A refinement decodes each structure once, and a hub costs it about
+actors.  A refinement decodes each view once, and a hub costs it about
 what the paths it reads cost.
 """
 
@@ -190,14 +190,14 @@ def test_two_sorted_view_equals_naive_rounds(rng):
 @pytest.mark.parametrize("mode", MODES)
 def test_refinement_decodes_each_structure_once(mode):
     net = random_network(random.Random(5), n=30, k=2, density=0.1)
-    counted = [CountedEdges(r) for r in net.relations.values()]
-    assert refine(counted, net.actors, mode=mode) == naive_refine(net.views(mode), net.actors)
-    assert [c.calls for c in counted] == [1, 1]
+    counted = [CountedEdges(v) for v in net.views(mode)]
+    assert refine(counted, net.actors) == naive_refine(net.views(mode), net.actors)
+    assert [c.calls for c in counted] == [1] * len(counted)
 
 
 def test_hyper_refinement_decodes_each_structure_once():
     mh = random_multihyper(random.Random(5), n=30, k=2, max_target=3)
-    counted = [CountedEdges(h) for h in mh.relations.values()]
+    counted = [CountedEdges(h) for h in mh.views()]
     assert refine(counted, mh.actors) == naive_refine(mh.views(), mh.actors)
     assert [c.calls for c in counted] == [1, 1]
 
@@ -293,8 +293,9 @@ def test_validation_flags_equal_naive_flags(kind, mode, rng):
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False))
 def test_inward_checks_build_no_transpose(rng):
-    # every inward check reads the relations backwards: with transpose()
-    # raising, each still equals its oracle on the transposed relations
+    # every inward check and refinement reads the relations backwards: with
+    # transpose() raising, each still equals its oracle on the transposed
+    # relations
     net = graph(rng)
     assume(len(net.actors) > 0)
     if rng.random() < 0.5:
@@ -307,10 +308,9 @@ def test_inward_checks_build_no_transpose(rng):
     converses = [r.transpose() for r in rels]
     inward = [naive_outward_regular(t, e) for t in converses]
     outward = [naive_outward_regular(r, e) for r in rels]
-    coarsest = {
-        "in": naive_bruteforce(converses, net.actors),
-        "both": naive_bruteforce(rels + converses, net.actors),
-    }
+    read = {"in": converses, "both": rels + converses}
+    coarsest = {mode: naive_bruteforce(views, net.actors) for mode, views in read.items()}
+    refined = {mode: naive_refine(views, net.actors) for mode, views in read.items()}
 
     def refuse(self):
         raise AssertionError("an inward check built a transposed relation")
@@ -320,8 +320,9 @@ def test_inward_checks_build_no_transpose(rng):
         assert [is_inward_regular(r, e) for r in rels] == inward
         assert network_passes(net, e, "in") == all(inward)
         assert network_passes(net, e, "both") == (all(inward) and all(outward))
-        for mode, expected in coarsest.items():
-            assert coarsest_regular_bruteforce(net, mode) == expected
+        for mode in read:
+            assert coarsest_regular_bruteforce(net, mode) == coarsest[mode]
+            assert max_regular_partition(net, mode) == refined[mode]
         report = validate_positional_reduction(f, net, dst, mode="in")
     for name, s in net.relations.items():
         s, d = s.transpose(), dst.relations[name].transpose()
