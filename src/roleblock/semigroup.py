@@ -208,12 +208,17 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     ``cap * BITS_PER_ELEMENT`` bits of elements, as their ``stored_bits()``
     counts them (an element without that method counts towards ``cap`` only).
 
-    ``compose`` must be associative.  It is called exactly once per generator
-    and element, which gives the left Cayley graph.  Following Froidure and
-    Pin, "Algorithms for computing finite semigroups" (1997), the right Cayley
-    graph then takes no compose call: x = g*x' times generator h is
-    g*(x'*h), which is a left edge from the right edge of the shorter suffix
-    x'.  No Cayley table is built; see ``RoleSemigroup``.
+    ``compose`` must be associative: both Cayley graphs rely on it, so a
+    non-associative ``compose`` gives a different closure than one compose
+    call per generator and element would.  Following Froidure and Pin,
+    "Algorithms for computing finite semigroups" (1997), the BFS composes
+    only reduced products.  Let x's word be words[p] followed by the letter
+    h, where p is x's prefix element.  If g*p has a word other than
+    (g,) + words[p], then g*x = (g*p)*h is a right edge of a known element
+    and takes no compose call; otherwise, and when x is a generator, g*x is
+    composed.  The right Cayley graph takes no compose call either: x = g*x'
+    times generator h is g*(x'*h), a left edge from the right edge of the
+    shorter suffix x'.  No Cayley table is built; see ``RoleSemigroup``.
     """
     if cap < 1:
         raise InputError(f"cap must be at least 1, got {cap}")
@@ -259,15 +264,48 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     # left[i][x] indexes gens[i] composed after elements[x]; levels are
     # contiguous index ranges, so appending level by level fills it by position
     left = [[] for _ in gens]
+    # prefix[x]: the element whose word is words[x] without its last letter
+    # (None for generators); cols[h][y]: y composed after gens[h], -1 until needed
+    prefix = [None] * len(elements)
+    cols = [[] for _ in gens]
+
+    def right_edge(col, h, y):
+        # y*h along y's suffix chain: (f*y')*h = f*(y'*h), each a left edge
+        # that an earlier step of the BFS has already filled
+        chain = []
+        while col[y] < 0 and suffix[y] is not None:
+            chain.append(y)
+            y = suffix[y]
+        idx = col[y]
+        if idx < 0:
+            idx = col[y] = left[words[y][0]][generator_elements[h]]
+        for y in reversed(chain):
+            idx = col[y] = left[words[y][0]][idx]
+        return idx
+
     while level:
         nxt = []
+        for col in cols:
+            col.extend([-1] * (len(elements) - len(col)))
         for i, g in enumerate(gens):
             row = left[i]
             for x in level:
+                p = prefix[x]
+                if p is not None:
+                    y = row[p]
+                    if suffix[y] != p or words[y][0] != i:
+                        # g*prefix(x) has a shorter or earlier word than
+                        # (i,) + words[p], so g*x is its right edge, known
+                        h = words[x][-1]
+                        col = cols[h]
+                        idx = col[y]
+                        row.append(idx if idx >= 0 else right_edge(col, h, y))
+                        continue
                 product = compose(g, elements[x])
                 idx = index.get(product)
                 if idx is None:
                     idx = admit(product, (i,) + words[x], x)
+                    prefix.append(generator_elements[i] if p is None else row[p])
                     nxt.append(idx)
                 row.append(idx)
         level = nxt

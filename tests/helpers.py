@@ -9,6 +9,7 @@ import csv
 import io
 
 from roleblock import (
+    BITS_PER_ELEMENT,
     ActorSet,
     FHyperStructure,
     InputError,
@@ -17,6 +18,7 @@ from roleblock import (
     Partition,
     Relation,
     ResourceLimitError,
+    RoleSemigroup,
     StructuralError,
     UndirectedHypergraph,
 )
@@ -253,6 +255,88 @@ def table_is_associative(s):
 def naive_cayley(s, compose):
     """The full table by one compose call per cell, looked up by element."""
     return tuple(tuple(s.index_of(compose(x, y)) for y in s.elements) for x in s.elements)
+
+
+def naive_closure(generators, compose, cap):
+    """The closure by one compose call per generator and element (k·m calls).
+
+    Breadth-first over words by length, then by generator order, with the
+    same ``cap`` and memory budget exits as ``generate_closure``; the right
+    Cayley graph is filled after the search.  Returns the semigroup and the
+    number of compose calls.
+    """
+    if cap < 1:
+        raise InputError(f"cap must be at least 1, got {cap}")
+    generators = list(generators)
+    if not generators:
+        raise InputError("at least one generator is required")
+    names = tuple(name for name, _ in generators)
+    gens = [g for _, g in generators]
+    calls = 0
+
+    elements = []
+    words = []
+    suffix = []
+    index = {}
+    budget = cap * BITS_PER_ELEMENT
+    stored = 0
+
+    def admit(element, word, rest):
+        nonlocal stored
+        if len(elements) >= cap:
+            raise ResourceLimitError(
+                f"closure exceeded the cap of {cap} elements", count=len(elements)
+            )
+        size = getattr(element, "stored_bits", None)
+        stored += size() if size else 0
+        if stored > budget:
+            raise ResourceLimitError(
+                f"closure exceeded the memory budget of {budget // 8192} KiB "
+                f"({BITS_PER_ELEMENT // 8192} KiB per element of the cap of {cap})",
+                count=len(elements),
+            )
+        idx = index[element] = len(elements)
+        elements.append(element)
+        words.append(word)
+        suffix.append(rest)
+        return idx
+
+    level = []
+    for i, g in enumerate(gens):
+        if g not in index:
+            level.append(admit(g, (i,), None))
+    generator_elements = tuple(index[g] for g in gens)
+
+    left = [[] for _ in gens]
+    while level:
+        nxt = []
+        for i, g in enumerate(gens):
+            row = left[i]
+            for x in level:
+                product = compose(g, elements[x])
+                calls += 1
+                idx = index.get(product)
+                if idx is None:
+                    idx = admit(product, (i,) + words[x], x)
+                    nxt.append(idx)
+                row.append(idx)
+        level = nxt
+    left = tuple(map(tuple, left))
+
+    firsts = [word[0] for word in words]
+    right = []
+    for g in generator_elements:
+        col = []
+        for f, rest in zip(firsts, suffix):
+            col.append(left[f][g if rest is None else col[rest]])
+        right.append(tuple(col))
+
+    empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
+    s = RoleSemigroup(
+        tuple(elements), tuple(words), tuple(suffix), left, tuple(right), index, names,
+        generator_elements, "custom", False, empty,
+    )
+    return s, calls
 
 
 def naive_table_csv(s, compose):

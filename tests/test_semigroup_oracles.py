@@ -21,6 +21,7 @@ from helpers import (
     actors,
     naive_blocks,
     naive_cayley,
+    naive_closure,
     naive_compatible,
     naive_congruence,
     naive_holds,
@@ -34,6 +35,8 @@ from helpers import (
     random_relation,
 )
 from roleblock import (
+    BITS_PER_ELEMENT,
+    DEFAULT_CAP,
     ElementCongruence,
     MultiNetwork,
     ResourceLimitError,
@@ -236,6 +239,100 @@ def counted(compose):
     return wrapped, calls
 
 
+def reduced_products(s):
+    """How many products g*x a Froidure–Pin closure composes: x is a
+    generator, or g composed after x's prefix p has exactly the word
+    (g,) + words[p], so that g*x is no right edge of a known element."""
+    at = {word: x for x, word in enumerate(s.words)}
+    count = 0
+    for g, row in enumerate(s.left):
+        for x, rest in enumerate(s.suffix):
+            if rest is None:
+                count += 1
+                continue
+            p = at[s.words[x][:-1]]
+            y = row[p]
+            count += s.suffix[y] == p and s.words[y][0] == g
+    return count
+
+
+CLOSURE_FIELDS = (
+    "elements", "words", "suffix", "left", "right", "generator_elements", "empty", "absorbing",
+)
+
+
+def assert_same_closure(generators, compose, cap):
+    """``generate_closure`` equals ``naive_closure`` field for field, with
+    one compose call per reduced product, or raises the same
+    ResourceLimitError; returns the naive result or error."""
+    try:
+        expected, _ = naive_closure(generators, compose, cap)
+    except ResourceLimitError as err:
+        with pytest.raises(ResourceLimitError) as got:
+            generate_closure(generators, compose, cap)
+        assert (got.value.count, str(got.value)) == (err.count, str(err))
+        return err
+    op, calls = counted(compose)
+    s = generate_closure(generators, op, cap)
+    for field in CLOSURE_FIELDS:
+        assert getattr(s, field) == getattr(expected, field), field
+    assert calls[0] == reduced_products(expected)
+    return expected
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
+def test_closure_equals_naive_closure(compose_kind, prune_empty, rng, duplicate):
+    net = random_net(rng, compose_kind)
+    generators = list(net.relations.items())
+    if duplicate:
+        copy = ("dup", rng.choice(generators)[1])
+        generators.insert(rng.randint(0, len(generators)), copy)
+    assert_same_closure(generators, composition_for(compose_kind, prune_empty), CAP)
+
+
+class Weighed:
+    """A relation whose ``stored_bits`` is half an element's budget per pair
+    it holds, plus one half."""
+
+    __slots__ = ("relation",)
+
+    def __init__(self, relation):
+        self.relation = relation
+
+    def __eq__(self, other):
+        return self.relation == other.relation
+
+    def __hash__(self):
+        return hash(self.relation)
+
+    def stored_bits(self):
+        return BITS_PER_ELEMENT // 2 * (1 + sum(1 for _ in self.relation.pairs()))
+
+
+def weighed_compose(x, y):
+    return Weighed(compose_relations(x.relation, y.relation))
+
+
+@pytest.mark.parametrize(
+    "net", [family_three(), random_network(random.Random(1), 4, 2, 0.3)], ids=["family", "random"]
+)
+def test_resource_exits_equal_naive_closure(net):
+    # the same exit, count and message at every cap, admission order being
+    # unchanged; Weighed elements trip the memory budget at some caps
+    plain = list(net.relations.items())
+    weighed = [(name, Weighed(r)) for name, r in plain]
+    size = len(naive_closure(plain, compose_relations, DEFAULT_CAP)[0])
+    exits = set()
+    for generators, compose in [(plain, compose_relations), (weighed, weighed_compose)]:
+        for cap in range(1, size + 1):
+            result = assert_same_closure(generators, compose, cap)
+            if isinstance(result, ResourceLimitError):
+                exits.add(str(result).split(" of ")[0])
+    assert exits == {"closure exceeded the cap", "closure exceeded the memory budget"}
+
+
 @pytest.mark.parametrize(
     "net,compose",
     [
@@ -246,11 +343,13 @@ def counted(compose):
     ],
     ids=["family-graph", "tree-tight", "random-graph"],
 )
-def test_closure_composes_once_per_generator_and_element(net, compose):
+def test_closure_composes_only_reduced_products(net, compose):
     op, calls = counted(compose)
     generators = list(net.relations.items())
     s = generate_closure(generators, op)
-    assert calls[0] == len(generators) * len(s)
+    expected, naive_calls = naive_closure(generators, compose, DEFAULT_CAP)
+    assert naive_calls == len(generators) * len(s)
+    assert calls[0] == reduced_products(expected) < naive_calls
     assert tuple(s.cayley) == naive_cayley(s, compose)
 
 
