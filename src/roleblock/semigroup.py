@@ -216,9 +216,11 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     h, where p is x's prefix element.  If g*p has a word other than
     (g,) + words[p], then g*x = (g*p)*h is a right edge of a known element
     and takes no compose call; otherwise, and when x is a generator, g*x is
-    composed.  The right Cayley graph takes no compose call either: x = g*x'
-    times generator h is g*(x'*h), a left edge from the right edge of the
-    shorter suffix x'.  No Cayley table is built; see ``RoleSemigroup``.
+    composed.  The right Cayley graph takes no compose call either and is
+    filled level by level during the search, with no second pass: once a
+    level's left edges are in, x = g*x' times generator h is g*(x'*h), a left
+    edge from the right edge of the suffix x', one level back.  No Cayley
+    table is built; see ``RoleSemigroup``.
     """
     if cap < 1:
         raise InputError(f"cap must be at least 1, got {cap}")
@@ -261,32 +263,17 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
             level.append(admit(g, (i,), None))
     generator_elements = tuple(index[g] for g in gens)
 
-    # left[i][x] indexes gens[i] composed after elements[x]; levels are
-    # contiguous index ranges, so appending level by level fills it by position
+    # left[i][x] indexes gens[i] composed after elements[x], right[h][x]
+    # elements[x] composed after gens[h]; levels are contiguous index ranges,
+    # so appending level by level fills both by position
     left = [[] for _ in gens]
+    right = [[] for _ in gens]
     # prefix[x]: the element whose word is words[x] without its last letter
-    # (None for generators); cols[h][y]: y composed after gens[h], -1 until needed
+    # (None for generators)
     prefix = [None] * len(elements)
-    cols = [[] for _ in gens]
-
-    def right_edge(col, h, y):
-        # y*h along y's suffix chain: (f*y')*h = f*(y'*h), each a left edge
-        # that an earlier step of the BFS has already filled
-        chain = []
-        while col[y] < 0 and suffix[y] is not None:
-            chain.append(y)
-            y = suffix[y]
-        idx = col[y]
-        if idx < 0:
-            idx = col[y] = left[words[y][0]][generator_elements[h]]
-        for y in reversed(chain):
-            idx = col[y] = left[words[y][0]][idx]
-        return idx
 
     while level:
         nxt = []
-        for col in cols:
-            col.extend([-1] * (len(elements) - len(col)))
         for i, g in enumerate(gens):
             row = left[i]
             for x in level:
@@ -295,11 +282,12 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
                     y = row[p]
                     if suffix[y] != p or words[y][0] != i:
                         # g*prefix(x) has a shorter or earlier word than
-                        # (i,) + words[p], so g*x is its right edge, known
-                        h = words[x][-1]
-                        col = cols[h]
-                        idx = col[y]
-                        row.append(idx if idx >= 0 else right_edge(col, h, y))
+                        # (i,) + words[p], so g*x is its right edge y*h, which
+                        # is f*(y'*h) for y = f*y': y' lies a level back, so
+                        # y'*h is in right, and that left edge is filled
+                        h, rest = words[x][-1], suffix[y]
+                        z = generator_elements[h] if rest is None else right[h][rest]
+                        row.append(left[words[y][0]][z])
                         continue
                 product = compose(g, elements[x])
                 idx = index.get(product)
@@ -308,21 +296,18 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
                     prefix.append(generator_elements[i] if p is None else row[p])
                     nxt.append(idx)
                 row.append(idx)
+        # the level's left edges are in: x = f*x' composed after gens[h] is
+        # f*(x'*h), a left edge from the right edge of x', one level back
+        for g, col in zip(generator_elements, right):
+            for x in level:
+                rest = suffix[x]
+                col.append(left[words[x][0]][g if rest is None else col[rest]])
         level = nxt
-    left = tuple(map(tuple, left))
-
-    firsts = [word[0] for word in words]
-    right = []
-    for g in generator_elements:
-        col = []
-        for f, rest in zip(firsts, suffix):
-            col.append(left[f][g if rest is None else col[rest]])
-        right.append(tuple(col))
 
     empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
     return RoleSemigroup(
-        tuple(elements), tuple(words), tuple(suffix), left, tuple(right), index, names,
-        generator_elements, compose_kind, prune_empty, empty,
+        tuple(elements), tuple(words), tuple(suffix), tuple(map(tuple, left)),
+        tuple(map(tuple, right)), index, names, generator_elements, compose_kind, prune_empty, empty,
     )
 
 
@@ -566,14 +551,6 @@ def quotient_semigroup(s, congruence):
 
 # ── generator-induced homomorphisms ─────────────────────────────────────────
 
-def _evaluate_word(s, word):
-    # word is a generator-index sequence, leftmost applied last
-    acc = s.generator_elements[word[-1]]
-    for a in word[-2::-1]:
-        acc = s.left[a][acc]
-    return acc
-
-
 def generator_induced_hom(src, dst):
     """Map each source element, via its word, to the target element of that word.
 
@@ -587,7 +564,12 @@ def generator_induced_hom(src, dst):
     if (src.compose_kind, src.prune_empty) != (dst.compose_kind, dst.prune_empty):
         raise StructuralError("composition kinds differ")
 
-    image = [_evaluate_word(dst, w) for w in src.words]
+    # a generator's word is one letter; any other element's image is its
+    # first letter's left edge from its suffix's image
+    image = []
+    for word, rest in zip(src.words, src.suffix):
+        a = word[0]
+        image.append(dst.generator_elements[a] if rest is None else dst.left[a][image[rest]])
 
     # duplicate generators in the source must stay duplicated in the target
     for i in range(len(src.generator_names)):

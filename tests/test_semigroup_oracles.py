@@ -280,16 +280,57 @@ def assert_same_closure(generators, compose, cap):
     return expected
 
 
+def random_generators(rng, compose_kind, duplicate):
+    """A random network's generator list, with a copy of one generator
+    inserted at a random place when ``duplicate`` is set."""
+    generators = list(random_net(rng, compose_kind).relations.items())
+    if duplicate:
+        copy = ("dup", rng.choice(generators)[1])
+        generators.insert(rng.randint(0, len(generators)), copy)
+    return generators
+
+
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
 def test_closure_equals_naive_closure(compose_kind, prune_empty, rng, duplicate):
-    net = random_net(rng, compose_kind)
-    generators = list(net.relations.items())
-    if duplicate:
-        copy = ("dup", rng.choice(generators)[1])
-        generators.insert(rng.randint(0, len(generators)), copy)
+    generators = random_generators(rng, compose_kind, duplicate)
     assert_same_closure(generators, composition_for(compose_kind, prune_empty), CAP)
+
+
+@pytest.mark.parametrize(
+    "net,size",
+    [
+        (random_network(random.Random(4), 6, 3, 0.2), 2963),
+        (random_network(random.Random(3), 6, 4, 0.2), 4782),
+    ],
+    ids=["2963-elements", "4782-elements"],
+)
+def test_large_closures_equal_naive_closure(net, size):
+    # deep, wide BFS levels, pinned field for field
+    expected = assert_same_closure(list(net.relations.items()), compose_relations, DEFAULT_CAP)
+    assert len(expected) == size
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
+def test_right_graph_and_products_equal_compose(compose_kind, prune_empty, rng, duplicate):
+    # checked against compose itself, not against a right graph derived the
+    # way the closure derives it
+    generators = random_generators(rng, compose_kind, duplicate)
+    compose = composition_for(compose_kind, prune_empty)
+    try:
+        s = generate_closure(generators, compose, CAP)
+    except ResourceLimitError:
+        assume(False)
+    for a, (_, g) in enumerate(generators):
+        for x, element in enumerate(s.elements):
+            assert s.right[a][x] == s.index_of(compose(element, g))
+    m = len(s)
+    for _ in range(20):
+        i, j = rng.randrange(m), rng.randrange(m)
+        assert s.product(i, j) == s.index_of(compose(s.elements[i], s.elements[j]))
 
 
 class Weighed:
