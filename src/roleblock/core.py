@@ -376,18 +376,28 @@ def _check_relation_name(name, seen):
 
 # ── composition and the constant relations ──────────────────────────────────
 
-def compose_relations(r2, r1):
+def compose_relations(r2, r1, *, memo=None):
     """Composite relation: (v, w) holds iff some u has (v, u) in r1 and (u, w) in r2.
 
     The argument order follows the word convention in which the left operand
     is applied last, so ``compose_relations(p, s)`` reads "p after s".
+
+    ``memo``, one dict per left operand r2, maps each row of r1 already
+    composed with r2 to its result, so a distinct row is composed once;
+    without it, each call starts an empty one.
     """
     r2.actors.require_same(r1.actors)
+    if memo is None:
+        memo = {}
+    rows2 = r2.rows
     rows = []
     for mids in r1.rows:
-        acc = 0
-        for u in mask_members(mids):
-            acc |= r2.rows[u]
+        acc = memo.get(mids)
+        if acc is None:
+            acc = 0
+            for u in mask_members(mids):
+                acc |= rows2[u]
+            memo[mids] = acc
         rows.append(acc)
     return Relation(r1.actors, rows)
 

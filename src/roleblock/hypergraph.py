@@ -4,12 +4,16 @@ An F-hypergraph assigns to each actor a family of target sets.  A target set
 is stored as an int mask, bit j for actor j, as ``Relation`` stores its rows;
 the canonical form keeps, per actor, a sorted tuple of distinct masks
 (set-of-sets semantics: duplicate targets collapse, multiplicity is never
-tracked).  ``_canonical_masks`` alone builds it, for both constructors and for
-every structure computed here, and checks that no mask names an actor index
->= n.  Composition, signatures and pushforwards work on the masks; ``targets``,
-``hyperedges`` and ``edges()`` decode them into sorted index tuples, in sorted
-order.  An empty target set, mask 0, is a legal hyperedge target and is
-distinct from an actor having no hyperedges at all.
+tracked).  ``_canonical_family`` alone builds it, family by family, for both
+constructors and for every structure computed here, and checks that no mask
+names an actor index >= n.  Composition, signatures and pushforwards work on
+the masks; ``targets``, ``hyperedges`` and ``edges()`` decode them into sorted
+index tuples, in sorted order.  An empty target set, mask 0, is a legal
+hyperedge target and is distinct from an actor having no hyperedges at all.
+
+Both compositions take an optional ``memo`` dict, valid for one left operand
+and ``prune_empty`` value, that keeps the canonical result of each family of
+a right operand; ``semigroup.composition_for`` keeps one per left operand.
 """
 
 from functools import reduce
@@ -51,18 +55,20 @@ def _index_masks(families, n, what):
     return out
 
 
-def _canonical_masks(families, n):
-    """Each family of target masks as a sorted tuple of distinct masks.
+def _canonical_family(family, n):
+    """A family of target masks as a sorted tuple of distinct masks.
 
     Every mask must lie in range(1 << n), that is, name no index >= n.
     """
-    canon = []
-    for family in families:
-        family = sorted(set(family))
-        if family and (family[0] < 0 or family[-1] >> n):
-            raise StructuralError(f"target set refers to an actor index >= {n}")
-        canon.append(tuple(family))
-    return tuple(canon)
+    family = sorted(set(family))
+    if family and (family[0] < 0 or family[-1] >> n):
+        raise StructuralError(f"target set refers to an actor index >= {n}")
+    return tuple(family)
+
+
+def _canonical_masks(families, n):
+    """Each family of target masks in canonical form, by ``_canonical_family``."""
+    return tuple(_canonical_family(family, n) for family in families)
 
 
 def _decode(family):
@@ -98,9 +104,14 @@ class FHyperStructure:
     @classmethod
     def _from_masks(cls, actors, families):
         """Build from one family of target masks per actor; every mask is range-checked."""
+        return cls._from_canonical(actors, _canonical_masks(families, len(actors)))
+
+    @classmethod
+    def _from_canonical(cls, actors, masks):
+        """Build from families that ``_canonical_family`` returned for ``len(actors)``."""
         h = cls.__new__(cls)
         h.actors = actors
-        h._masks = _canonical_masks(families, len(actors))
+        h._masks = tuple(masks)
         return h
 
     @classmethod
@@ -296,46 +307,68 @@ def embed_relation(r):
 
 # ── the two compositions ─────────────────────────────────────────────────────
 
-def tight_compose(k, h):
+def tight_compose(k, h, *, memo=None):
     """Branch-preserving composite.
 
     (a, U) is a hyperedge iff h has some (a, V) with a member b such that
     (b, U) is a hyperedge of k.  Each branch through V contributes its own
     target set, so a's family is the union of k's families over the members
     of a's targets.
+
+    ``memo``, one dict per left operand k, maps each family of h already
+    composed with k to its canonical result, so a distinct family is composed
+    and range-checked once; without it, each call starts an empty one.
     """
     k.actors.require_same(h.actors)
-    ks = k._masks
+    if memo is None:
+        memo = {}
+    ks, n = k._masks, len(h.actors)
     fams = []
     for family in h._masks:
-        out = set()
-        for b in mask_members(_union(family)):
-            out.update(ks[b])
+        out = memo.get(family)
+        if out is None:
+            out = set()
+            for b in mask_members(_union(family)):
+                out.update(ks[b])
+            out = memo[family] = _canonical_family(out, n)
         fams.append(out)
-    return FHyperStructure._from_masks(h.actors, fams)
+    return FHyperStructure._from_canonical(h.actors, fams)
 
 
-def loose_compose(k, h, prune_empty=False):
+def loose_compose(k, h, prune_empty=False, *, memo=None):
     """Branch-merging composite.
 
     Each hyperedge (a, V) of h yields exactly one hyperedge (a, W) where W is
     the union of every k-target of every member of V.  W may be empty (when V
     is empty or no member of V has k-hyperedges); the literal mode keeps such
     hyperedges, ``prune_empty`` deletes them afterwards.
+
+    ``memo``, one dict per left operand k and ``prune_empty`` value, maps
+    each family of h already composed to its canonical result, so a distinct
+    family is composed and range-checked once, and each actor's union of
+    k-targets is built on a call's first miss only; without it, each call
+    starts an empty one.
     """
     k.actors.require_same(h.actors)
-    flat = [_union(family) for family in k._masks]
+    if memo is None:
+        memo = {}
+    n, flat = len(h.actors), None
     fams = []
     for family in h._masks:
-        out = []
-        for v in family:
-            w = 0
-            for b in mask_members(v):
-                w |= flat[b]
-            if w or not prune_empty:
-                out.append(w)
+        out = memo.get(family)
+        if out is None:
+            if flat is None:
+                flat = [_union(targets) for targets in k._masks]
+            out = []
+            for v in family:
+                w = 0
+                for b in mask_members(v):
+                    w |= flat[b]
+                if w or not prune_empty:
+                    out.append(w)
+            out = memo[family] = _canonical_family(out, n)
         fams.append(out)
-    return FHyperStructure._from_masks(h.actors, fams)
+    return FHyperStructure._from_canonical(h.actors, fams)
 
 
 def prune_empty_targets(h):

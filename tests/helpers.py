@@ -113,6 +113,21 @@ def loose_oracle(k, h):
     return FHyperStructure.from_edges(h.actors, edges)
 
 
+def pruned_loose_oracle(k, h):
+    """``loose_oracle`` with every empty target set dropped."""
+    literal = loose_oracle(k, h)
+    return FHyperStructure(h.actors, [[t for t in family if t] for family in literal.targets])
+
+
+# (compose kind, prune_empty) -> its oracle
+COMPOSE_ORACLES = {
+    ("graph", False): compose_oracle,
+    ("tight", False): tight_oracle,
+    ("loose", False): loose_oracle,
+    ("loose", True): pruned_loose_oracle,
+}
+
+
 # A tuple-form reference for the bitmask F-structures: per actor, a sorted
 # tuple of distinct sorted index tuples.  ``families`` below is always in that
 # form, as ``naive_canonical_families`` returns it.

@@ -12,12 +12,14 @@ import os
 import random
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    COMPOSE_ORACLES,
     actors,
     naive_blocks,
     naive_cayley,
@@ -35,12 +37,17 @@ from helpers import (
     random_relation,
 )
 from roleblock import (
+    ActorSet,
     BITS_PER_ELEMENT,
     DEFAULT_CAP,
     ElementCongruence,
+    FHyperStructure,
+    MultiHypergraph,
     MultiNetwork,
+    Relation,
     ResourceLimitError,
     SemigroupHom,
+    StructuralError,
     WellDefinednessError,
     compose_relations,
     congruence_closure,
@@ -50,11 +57,13 @@ from roleblock import (
     generate_closure,
     generator_induced_hom,
     identity_relation,
+    loose_compose,
     pushforward_network,
     quotient_map,
     quotient_semigroup,
     render_table_csv,
     role_semigroup,
+    semigroup,
     tight_compose,
 )
 from roleblock.cli import main
@@ -261,12 +270,13 @@ CLOSURE_FIELDS = (
 )
 
 
-def assert_same_closure(generators, compose, cap):
-    """``generate_closure`` equals ``naive_closure`` field for field, with
-    one compose call per reduced product, or raises the same
-    ResourceLimitError; returns the naive result or error."""
+def assert_same_closure(generators, compose, cap, reference=None):
+    """``generate_closure`` under ``compose`` equals ``naive_closure`` under
+    ``reference`` (``compose`` itself by default) field for field, with one
+    compose call per reduced product, or raises the same ResourceLimitError;
+    returns the naive result or error."""
     try:
-        expected, _ = naive_closure(generators, compose, cap)
+        expected, _ = naive_closure(generators, reference or compose, cap)
     except ResourceLimitError as err:
         with pytest.raises(ResourceLimitError) as got:
             generate_closure(generators, compose, cap)
@@ -294,8 +304,11 @@ def random_generators(rng, compose_kind, duplicate):
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
 def test_closure_equals_naive_closure(compose_kind, prune_empty, rng, duplicate):
+    # the reference closure composes with the oracle, so it shares no memo
+    # with the op under test
     generators = random_generators(rng, compose_kind, duplicate)
-    assert_same_closure(generators, composition_for(compose_kind, prune_empty), CAP)
+    op = composition_for(compose_kind, prune_empty)
+    assert_same_closure(generators, op, CAP, COMPOSE_ORACLES[compose_kind, prune_empty])
 
 
 @pytest.mark.parametrize(
@@ -307,8 +320,12 @@ def test_closure_equals_naive_closure(compose_kind, prune_empty, rng, duplicate)
     ids=["2963-elements", "4782-elements"],
 )
 def test_large_closures_equal_naive_closure(net, size):
-    # deep, wide BFS levels, pinned field for field
-    expected = assert_same_closure(list(net.relations.items()), compose_relations, DEFAULT_CAP)
+    # deep, wide BFS levels, pinned field for field; the reference composes
+    # without a memo
+    generators = list(net.relations.items())
+    expected = assert_same_closure(
+        generators, composition_for("graph"), DEFAULT_CAP, compose_relations
+    )
     assert len(expected) == size
 
 
@@ -317,11 +334,12 @@ def test_large_closures_equal_naive_closure(net, size):
 @given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
 def test_right_graph_and_products_equal_compose(compose_kind, prune_empty, rng, duplicate):
     # checked against compose itself, not against a right graph derived the
-    # way the closure derives it
+    # way the closure derives it, through an op that shares no memo with the
+    # closure's
     generators = random_generators(rng, compose_kind, duplicate)
     compose = composition_for(compose_kind, prune_empty)
     try:
-        s = generate_closure(generators, compose, CAP)
+        s = generate_closure(generators, composition_for(compose_kind, prune_empty), CAP)
     except ResourceLimitError:
         assume(False)
     for a, (_, g) in enumerate(generators):
@@ -331,6 +349,111 @@ def test_right_graph_and_products_equal_compose(compose_kind, prune_empty, rng, 
     for _ in range(20):
         i, j = rng.randrange(m), rng.randrange(m)
         assert s.product(i, j) == s.index_of(compose(s.elements[i], s.elements[j]))
+
+
+# the memo-free compose of each kind: a fresh memo per call
+MEMO_FREE = {
+    ("graph", False): compose_relations,
+    ("tight", False): tight_compose,
+    ("loose", False): loose_compose,
+    ("loose", True): lambda k, h: loose_compose(k, h, prune_empty=True),
+}
+
+# the ``semigroup`` attribute each kind's products go through, the names
+# perfbench/tracing.py wraps to count them
+TRACED_NAMES = {"graph": "compose_relations", "tight": "tight_compose", "loose": "loose_compose"}
+
+
+def rebuilt(x, acts):
+    """A new structure on ``acts`` with x's rows or target families."""
+    if isinstance(x, Relation):
+        return Relation(acts, x.rows)
+    return FHyperStructure(acts, x.targets)
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
+def test_memoized_compose_equals_memo_free_compose_and_oracle(
+    compose_kind, prune_empty, rng, duplicate
+):
+    # the calls reuse and interleave left operands, so most read a memo that
+    # earlier calls warmed; a duplicate generator comes as the same object
+    # and as an equal copy, which keeps a memo of its own
+    generators = [g for _, g in random_generators(rng, compose_kind, duplicate)]
+    acts = generators[0].actors
+    if duplicate:
+        generators.append(rebuilt(rng.choice(generators), acts))
+    op = composition_for(compose_kind, prune_empty)
+    kind = compose_kind, prune_empty
+    plain, oracle = MEMO_FREE[kind], COMPOSE_ORACLES[kind]
+    pool = list(generators)
+    for _ in range(30):
+        k = rng.choice(generators if rng.random() < 0.8 else pool)
+        h = rng.choice(pool)
+        got = op(k, h)
+        assert got == plain(k, h) == oracle(k, h)
+        pool.append(got)
+    # k's memo holds every part of h, yet the same parts on another roster
+    # are refused
+    other = ActorSet([f"w{i}" for i in range(len(acts))])
+    with pytest.raises(StructuralError):
+        op(k, rebuilt(h, other))
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+def test_ops_share_no_memo(compose_kind, prune_empty, monkeypatch):
+    # every entry the first op stored for k is replaced by a wrong result:
+    # the first op then reads it, a second op does not
+    name = TRACED_NAMES[compose_kind]
+    compose, memos = getattr(semigroup, name), []
+
+    def spy(*args, memo):
+        memos.append(memo)
+        return compose(*args, memo=memo)
+
+    monkeypatch.setattr(semigroup, name, spy)
+    net = family_three() if compose_kind == "graph" else parent_grandparent_hyper()
+    gens = list(net.relations.values())
+    k, h = gens[0], gens[-1]
+    first, second = (composition_for(compose_kind, prune_empty) for _ in range(2))
+    expected = first(k, h)
+    memo = memos[-1]
+    for part, result in memo.items():
+        memo[part] = result ^ 1 if isinstance(result, int) else (() if result else (0,))
+    assert first(k, h) != expected
+    assert second(k, h) == expected == MEMO_FREE[compose_kind, prune_empty](k, h)
+    assert memos[-1] is not memo
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False), duplicate=st.booleans())
+def test_closure_products_go_through_the_traced_names(compose_kind, prune_empty, rng, duplicate):
+    # one call of the kind's module name per reduced product, and none of
+    # the others, so a tracer's compose counts stay the closure's products
+    generators = random_generators(rng, compose_kind, duplicate)
+    net_type = MultiNetwork if compose_kind == "graph" else MultiHypergraph
+    net = net_type(generators[0][1].actors, generators)
+    calls = dict.fromkeys(TRACED_NAMES.values(), 0)
+
+    def counting(name):
+        compose = getattr(semigroup, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return compose(*args, **kwargs)
+
+        return wrapped
+
+    with mock.patch.multiple(semigroup, **{name: counting(name) for name in calls}):
+        try:
+            s = role_semigroup(net, compose_kind, prune_empty, cap=CAP)
+        except ResourceLimitError:
+            assume(False)
+    expected = dict.fromkeys(calls, 0)
+    expected[TRACED_NAMES[compose_kind]] = reduced_products(s)
+    assert calls == expected
 
 
 class Weighed:
