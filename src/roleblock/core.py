@@ -1,9 +1,13 @@
 """Actors, binary relations, partitions, and regular-equivalence machinery.
 
-Relations are stored as per-row target bitmasks, so equality and hashing are
-bitwise and composition is a handful of integer ORs per actor.  Everything in
-this module is an immutable value: operations return fresh objects and never
-mutate their inputs.
+A relation is stored as one sorted tuple of distinct out-neighbour indices
+per actor, O(n + m) for n actors and m pairs, which signatures, supports,
+refinement's edge view and pushforwards read as they are.  Int masks, bit j
+for actor j, are built only inside composition, where a role semigroup's
+small roster makes a row a machine word or two and a composite a few ORs,
+and by the brute-force oracle, which is capped at a few actors.
+Everything in this module is an immutable value: operations return fresh
+objects and never mutate their inputs.
 """
 
 from collections import Counter
@@ -32,6 +36,24 @@ def mask_members(mask):
         mask ^= 1 << j
     out.reverse()
     return tuple(out)
+
+
+def sorted_distinct(items):
+    """A list of hashable, ordered items as a sorted tuple of its distinct items."""
+    # most rows and families of a sparse network hold one or two items, and
+    # a pair is put in order with no set or list made
+    if len(items) == 2:
+        a, b = items
+        return (a, b) if a < b else (b, a) if b < a else (a,)
+    return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
+
+
+def index_mask(indices):
+    """The int mask of an iterable of indices, bit j for index j."""
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
 
 
 def check_image(image, source, target):
@@ -103,40 +125,55 @@ class ActorSet:
 
 
 class Relation:
-    """A binary relation on an ActorSet; ``rows[i]`` has bit ``j`` set iff (i, j) holds."""
+    """A binary relation on an ActorSet; ``out[i]`` is i's out-neighbours, a sorted index tuple.
 
-    __slots__ = ("actors", "rows")
+    ``out`` gives, per actor, an iterable of out-neighbour indices (duplicates
+    collapse), or an int mask, bit j for actor j, as ``rows`` derives it.
+    """
 
-    def __init__(self, actors, rows):
-        rows = tuple(rows)
+    __slots__ = ("actors", "out", "_hash")
+
+    def __init__(self, actors, out):
+        out = tuple(out)
         n = len(actors)
-        if len(rows) != n:
-            raise StructuralError(f"expected {n} rows, got {len(rows)}")
-        outside = ~((1 << n) - 1)
-        for row in rows:
-            if row & outside:
-                raise StructuralError("relation row refers to an actor index >= n")
+        if len(out) != n:
+            raise StructuralError(f"expected {n} rows, got {len(out)}")
         self.actors = actors
-        self.rows = rows
+        self.out = tuple(_canonical_row(part, n) for part in out)
+        self._hash = None
+
+    @classmethod
+    def _from_canonical(cls, actors, out):
+        """Build from one sorted tuple of distinct indices in range(len(actors)) per actor."""
+        r = cls.__new__(cls)
+        r.actors = actors
+        r.out = tuple(out)
+        r._hash = None
+        return r
 
     @classmethod
     def from_pairs(cls, actors, pairs):
         n = len(actors)
-        rows = [0] * n
+        out = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise StructuralError(f"pair ({i}, {j}) out of range for {n} actors")
-            rows[i] |= 1 << j
-        return cls(actors, rows)
+            out[i].append(j)
+        return cls._from_canonical(actors, map(sorted_distinct, out))
 
     @classmethod
     def from_label_pairs(cls, actors, pairs):
         return cls.from_pairs(actors, [(actors.resolve(a), actors.resolve(b)) for a, b in pairs])
 
+    @property
+    def rows(self):
+        """Each actor's out-neighbours as an int mask, bit j for actor j, derived on each read."""
+        return tuple(map(index_mask, self.out))
+
     def pairs(self):
         """Yield index pairs in row-major order."""
-        for i, row in enumerate(self.rows):
-            for j in mask_members(row):
+        for i, row in enumerate(self.out):
+            for j in row:
                 yield i, j
 
     def label_pairs(self):
@@ -145,76 +182,94 @@ class Relation:
 
     @property
     def is_empty(self):
-        return not any(self.rows)
+        return not any(self.out)
 
     def transpose(self):
-        n = len(self.actors)
-        rows = [0] * n
-        for i, j in self.pairs():
-            rows[j] |= 1 << i
-        return Relation(self.actors, rows)
+        return Relation._from_canonical(self.actors, _turned_round(self.out))
 
     def has(self, i, j):
-        return bool(self.rows[i] >> j & 1)
+        return j in self.out[i]
 
     def stored_bits(self):
-        """What the relation keeps, in bits: each row's bits plus a 64-bit slot per row."""
-        return sum(map(int.bit_length, self.rows)) + 64 * len(self.rows)
+        """What the relation keeps, in bits: a 64-bit slot per actor and per out-neighbour."""
+        out = self.out
+        return 64 * (len(out) + sum(map(len, out)))
 
     def signature(self, i, image):
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
-        return frozenset(image[j] for j in mask_members(self.rows[i]))
+        return frozenset(map(image.__getitem__, self.out[i]))
 
     def support(self, i):
         """The actors that i's signature reads: its out-neighbours."""
-        return mask_members(self.rows[i])
+        return self.out[i]
 
-    def successors(self, masks):
+    def successors(self, nodes):
         """Each actor's out-neighbours as an index tuple: its part of ``refine``'s edge view.
 
-        A relation has no target sets, so it adds nothing to ``masks``.
+        A relation has no target sets, so it adds nothing to ``nodes``.
         """
-        return list(map(mask_members, self.rows))
+        return self.out
 
     def pushforward(self, image, target):
         """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
         check_image(image, self.actors, target)
-        rows = [0] * len(target)
-        for i, j in self.pairs():
-            rows[image[i]] |= 1 << image[j]
-        return Relation(target, rows)
+        out = [set() for _ in range(len(target))]
+        for i, row in enumerate(self.out):
+            out[image[i]].update(map(image.__getitem__, row))
+        return Relation._from_canonical(target, [tuple(sorted(s)) for s in out])
 
     def __eq__(self, other):
         return (
             isinstance(other, Relation)
             and self.actors == other.actors
-            and self.rows == other.rows
+            and self.out == other.out
         )
 
     def __hash__(self):
-        return hash((self.actors.labels, self.rows))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.out)
+        return h
 
     def __repr__(self):
         return f"Relation({sorted(self.label_pairs())!r})"
+
+
+def _canonical_row(part, n):
+    """One actor's out-neighbours, indices or a mask, as a sorted tuple of distinct indices."""
+    if isinstance(part, int):
+        if part < 0 or part >> n:
+            raise StructuralError("relation row refers to an actor index >= n")
+        return mask_members(part)
+    row = tuple(sorted(set(part)))
+    if row and (row[0] < 0 or row[-1] >= n):
+        j = next(j for j in row if not 0 <= j < n)
+        raise StructuralError(f"out-neighbour index {j} out of range for {n} actors")
+    return row
+
+
+def _turned_round(out):
+    """The lists ``out`` describes, read backwards: each index's sources, in index order."""
+    into = [[] for _ in out]
+    for v, row in enumerate(out):
+        for u in row:
+            into[u].append(v)
+    return tuple(map(tuple, into))
 
 
 class Converse:
     """A relation read backwards: i's signature is the images of its in-neighbours.
 
     It is a structure like any other (``actors``, ``signature``, ``support``,
-    ``successors``), read from the relation's decoded out-lists turned round
-    once; no transposed relation is built.
+    ``successors``), read from the relation's out-lists turned round once; no
+    transposed relation is built.
     """
 
     __slots__ = ("actors", "_into")
 
     def __init__(self, r):
         self.actors = r.actors
-        into = [[] for _ in r.rows]
-        for v, row in enumerate(r.rows):
-            for u in mask_members(row):
-                into[u].append(v)
-        self._into = tuple(map(tuple, into))
+        self._into = _turned_round(r.out)
 
     def signature(self, i, image):
         """The images of i's in-neighbours under ``image``."""
@@ -224,8 +279,8 @@ class Converse:
         """The actors that i's signature reads: its in-neighbours, in index order."""
         return self._into[i]
 
-    def successors(self, masks):
-        """Each actor's in-neighbours as an index tuple; like a relation, it adds no masks."""
+    def successors(self, nodes):
+        """Each actor's in-neighbours as an index tuple; like a relation, it adds no nodes."""
         return self._into
 
 
@@ -384,32 +439,36 @@ def compose_relations(r2, r1, *, memo=None):
 
     ``memo``, one dict per left operand r2, maps each row of r1 already
     composed with r2 to its result, so a distinct row is composed once;
-    without it, each call starts an empty one.
+    without it, each call starts an empty one.  On a call's first miss, r2's
+    rows are made int masks, bit j for actor j, so that a composite row is a
+    few ORs, decoded once.
     """
     r2.actors.require_same(r1.actors)
     if memo is None:
         memo = {}
-    rows2 = r2.rows
-    rows = []
-    for mids in r1.rows:
-        acc = memo.get(mids)
-        if acc is None:
+    masks = None
+    out = []
+    for mids in r1.out:
+        row = memo.get(mids)
+        if row is None:
+            if masks is None:
+                masks = r2.rows
             acc = 0
-            for u in mask_members(mids):
-                acc |= rows2[u]
-            memo[mids] = acc
-        rows.append(acc)
-    return Relation(r1.actors, rows)
+            for u in mids:
+                acc |= masks[u]
+            row = memo[mids] = mask_members(acc)
+        out.append(row)
+    return Relation._from_canonical(r1.actors, out)
 
 
 def identity_relation(actors):
     """The diagonal relation {(x, x)}; the unit for composition."""
-    return Relation(actors, [1 << i for i in range(len(actors))])
+    return Relation._from_canonical(actors, [(i,) for i in range(len(actors))])
 
 
 def empty_relation(actors):
     """The all-zero relation; the absorbing element for composition."""
-    return Relation(actors, [0] * len(actors))
+    return Relation._from_canonical(actors, [()] * len(actors))
 
 
 # ── blockmodels ──────────────────────────────────────────────────────────────
@@ -490,21 +549,22 @@ def _predecessors(structures, actors):
     """The edge view of ``structures`` on ``actors``, as each node's in-edges.
 
     Nodes 0..n-1 are the n actors; ``successors`` numbers one more node per
-    distinct target mask.  Structure t gives label t, for k structures, and
-    each target-mask node has an edge labelled k to each of its members.
+    distinct target set, keyed by its index tuple.  Structure t gives label
+    t, for k structures, and each target-set node has an edge labelled k to
+    each of its members.
 
     Edge u -> v with label l is the entry l * N + u of ``pred[v]``, for N
     nodes in all, or ~(l * N + u) when it is u's only edge with label l.
     Returns ``pred``, N and the number of labels.  No structure is kept, so
     a converse made by ``views`` is freed before the refinement rounds start.
     """
-    masks = {}
+    nodes = {}
     lists = []
     for s in structures:
         s.actors.require_same(actors)
-        lists.append(s.successors(masks))
+        lists.append(s.successors(nodes))
     k = len(lists)
-    size = len(actors) + len(masks)
+    size = len(actors) + len(nodes)
     pred = [[] for _ in range(size)]
 
     def add(entry, targets):
@@ -516,16 +576,16 @@ def _predecessors(structures, actors):
     for t, out in enumerate(lists):
         for u, vs in enumerate(out):
             add(t * size + u, vs)
-    for mask, t in masks.items():
-        add(k * size + t, mask_members(mask))
+    for members, t in nodes.items():
+        add(k * size + t, members)
     return pred, size, k + 1
 
 
 def refine(structures, actors, seed=None):
     """Coarsest partition refining ``seed`` that is regular for every structure.
 
-    Counting refinement after Paige & Tarjan (1987), over an edge view decoded
-    once per call by each structure's ``successors``.  An F-structure is read
+    Counting refinement after Paige & Tarjan (1987), over an edge view read
+    once per call from each structure's ``successors``.  An F-structure is read
     as a two-sorted system (Wißmann et al., LMCS 2020): actor i has an edge to
     one node per target set, and that node an edge to each member, so its
     signature is the family of block-level target sets.  Target-set nodes
@@ -712,7 +772,7 @@ def bruteforce(structures, actors):
     for s in structures:
         s.actors.require_same(actors)
     # reads[t][i]: the actors that i's signature in structure t reads, as a mask
-    reads = [[sum(1 << j for j in s.support(i)) for i in range(n)] for s in structures]
+    reads = [[index_mask(s.support(i)) for i in range(n)] for s in structures]
     # that signature is fixed once the last of them, done[t][i], is placed
     done = [[m.bit_length() - 1 for m in masks] for masks in reads]
     # the placed actors whose fixed items can change when actor d is placed

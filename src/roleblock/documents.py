@@ -5,8 +5,8 @@ actors kept in roster order.  Loading tolerates duplicate edges and any key
 order; saving a loaded document therefore canonicalizes it in one pass.
 
 Loading a network checks each edge's shape and resolves its labels in one
-pass, straight into the relation's rows or into index lists that the
-hypergraph constructors put in canonical form.
+pass, straight into index lists that the structure constructors put in
+canonical form.
 Its errors come in a fixed order, the order of a shape pass followed by a
 label pass: relations one after another; within a relation, a malformed edge
 anywhere before the first unknown label; relation names only once every
@@ -17,7 +17,7 @@ import contextlib
 import json
 import os
 
-from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation, mask_members
+from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation, sorted_distinct
 from .errors import InputError, StructuralError
 from .hypergraph import FHyperStructure, MultiHypergraph, UndirectedHypergraph
 from .reduction import ActorMap
@@ -114,11 +114,13 @@ def network_from_doc(doc, source="<input>"):
 
 # The two relation decoders report a malformed edge at once, but hold the first
 # unknown label until every edge's shape has been checked: a malformed edge
-# anywhere in the relation is reported in its place.
+# anywhere in the relation is reported in its place.  Every index they collect
+# comes from the roster's index, so it is in range, and the stored form is
+# built straight from them.
 
 def _relation(actors, edges, where):
     index = actors.index
-    rows = [0] * len(actors)
+    out = [[] for _ in range(len(actors))]
     unknown = None
     for edge in edges:
         if not (
@@ -132,10 +134,10 @@ def _relation(actors, edges, where):
             if i is None or j is None:
                 unknown = a if i is None else b
             else:
-                rows[i] |= 1 << j
+                out[i].append(j)
     if unknown is not None:
         raise InputError(f"{where}: unknown actor {unknown!r}")
-    return Relation(actors, rows)
+    return Relation._from_canonical(actors, map(sorted_distinct, out))
 
 
 def _hyper_structure(actors, edges, where):
@@ -154,14 +156,16 @@ def _hyper_structure(actors, edges, where):
             )
         if unknown is None:
             a = index.get(src)
-            members = [index.get(x) for x in tgt]
+            members = list(map(index.get, tgt))
             if a is None or None in members:
                 unknown = src if a is None else tgt[members.index(None)]
             else:
                 families[a].append(members)
     if unknown is not None:
         raise InputError(f"{where}: unknown actor {unknown!r}")
-    return FHyperStructure(actors, families)
+    return FHyperStructure._from_canonical(
+        actors, [sorted_distinct(list(map(sorted_distinct, family))) for family in families]
+    )
 
 
 def _undirected(actors, edges, source):
@@ -193,9 +197,9 @@ def structure_lines(structures):
 
     The text is the same, byte for byte, but each piece is made once per
     roster: a line lists its actors' parts in label order, the JSON of one
-    actor's part (``Relation.rows[a]``, or an F-structure's ``masks[a]``) is
-    made once per distinct (actor, part), and an F-structure's target mask is
-    decoded once.  Later structures that hold the same part reuse its text.
+    actor's part (``Relation.out[a]``, or an F-structure's ``targets[a]``) is
+    made once per distinct (actor, part), and an F-structure's target set is
+    formatted once.  Later structures that hold the same part reuse its text.
     The text is kept only while the generator runs, and only for the roster
     of the structure at hand.
     """
@@ -223,9 +227,9 @@ class _Fragments:
     def line(self, x):
         """The JSON list of ``x``'s edges, actors in label order."""
         if isinstance(x, Relation):
-            parts, fragment = x.rows, self._pairs
+            parts, fragment = x.out, self._pairs
         else:
-            parts, fragment = x.masks, self._hyperedges
+            parts, fragment = x.targets, self._hyperedges
         cache = self.parts
         out = []
         for a in self.order:
@@ -242,7 +246,7 @@ class _Fragments:
         """The [src, tgt] pairs of one row, targets in label order."""
         quoted = self.quoted
         return ", ".join(
-            f"[{src}, {quoted[b]}]" for b in sorted(mask_members(row), key=self.rank.__getitem__)
+            f"[{src}, {quoted[b]}]" for b in sorted(row, key=self.rank.__getitem__)
         )
 
     def _hyperedges(self, src, family):
@@ -251,15 +255,14 @@ class _Fragments:
             f'{{"src": {src}, "tgt": [{text}]}}' for _, text in sorted(map(self._target, family))
         )
 
-    def _target(self, mask):
+    def _target(self, members):
         """A target's sort key, its members' label ranks, and its members' JSON.
 
         Members stay in roster order within a target, as ``label_edges`` gives them.
         """
-        got = self.targets.get(mask)
+        got = self.targets.get(members)
         if got is None:
-            members = mask_members(mask)
-            got = self.targets[mask] = (
+            got = self.targets[members] = (
                 [self.rank[j] for j in members],
                 ", ".join(self.quoted[j] for j in members),
             )

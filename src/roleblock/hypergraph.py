@@ -1,24 +1,22 @@
 """F-hypergraph structures, their two composition operations, and regularity.
 
 An F-hypergraph assigns to each actor a family of target sets.  A target set
-is stored as an int mask, bit j for actor j, as ``Relation`` stores its rows;
-the canonical form keeps, per actor, a sorted tuple of distinct masks
-(set-of-sets semantics: duplicate targets collapse, multiplicity is never
-tracked).  ``_canonical_family`` alone builds it, family by family, for both
-constructors and for every structure computed here, and checks that no mask
-names an actor index >= n.  Composition, signatures and pushforwards work on
-the masks; ``targets``, ``hyperedges`` and ``edges()`` decode them into sorted
-index tuples, in sorted order.  An empty target set, mask 0, is a legal
-hyperedge target and is distinct from an actor having no hyperedges at all.
+is stored as a sorted tuple of distinct actor indices, and each actor's family
+as a sorted tuple of distinct target sets (set-of-sets semantics: duplicate
+targets collapse, multiplicity is never tracked), O(n + m) in all for n actors
+and m target members.  The constructors build that form through
+``_canonical_family``, which checks that every index lies in range(n); the
+document decoder and the computed structures build it from indices already in
+range.  Signatures, pushforwards, refinement's edge view, ``targets``,
+``hyperedges`` and ``edges()`` read the stored tuples as they are.  An empty target set, the empty tuple, is a
+legal hyperedge target and is distinct from an actor having no hyperedges.
 
 Both compositions take an optional ``memo`` dict, valid for one left operand
 and ``prune_empty`` value, that keeps the canonical result of each family of
 a right operand; ``semigroup.composition_for`` keeps one per left operand.
 """
 
-from functools import reduce
 from itertools import chain
-from operator import or_
 
 from .core import (
     MultiStructure,
@@ -26,6 +24,7 @@ from .core import (
     blockmodel_network,
     bruteforce,
     check_image,
+    index_mask,
     mask_members,
     refine,
     signatures_agree,
@@ -33,65 +32,30 @@ from .core import (
 from .errors import StructuralError
 
 
-def _index_masks(families, n, what):
-    """Each family of index sets as a list of target masks.
+def _canonical_family(family, n, what):
+    """A family of index sets as a sorted tuple of distinct sorted index tuples.
 
     Every index must lie in range(n); the error names the first one that does
     not, taking the sets in the order given and each set in sorted order.
     """
-    out = []
-    for family in families:
-        masks = []
-        for t in family:
-            m = 0
-            members = iter(t)
-            for j in members:
-                if not 0 <= j < n:
-                    j = min(x for x in (j, *members) if not 0 <= x < n)
-                    raise StructuralError(f"{what} index {j} out of range for {n} actors")
-                m |= 1 << j
-            masks.append(m)
-        out.append(masks)
-    return out
-
-
-def _canonical_family(family, n):
-    """A family of target masks as a sorted tuple of distinct masks.
-
-    Every mask must lie in range(1 << n), that is, name no index >= n.
-    """
-    family = sorted(set(family))
-    if family and (family[0] < 0 or family[-1] >> n):
-        raise StructuralError(f"target set refers to an actor index >= {n}")
-    return tuple(family)
-
-
-def _canonical_masks(families, n):
-    """Each family of target masks in canonical form, by ``_canonical_family``."""
-    return tuple(_canonical_family(family, n) for family in families)
-
-
-def _decode(family):
-    """A family of masks as a sorted tuple of sorted index tuples."""
-    return tuple(sorted(map(mask_members, family)))
-
-
-def _union(masks):
-    return reduce(or_, masks, 0)
-
-
-def _image_mask(mask, image):
-    """The mask of the images under ``image`` of the actors in ``mask``."""
-    out = 0
-    for j in mask_members(mask):
-        out |= 1 << image[j]
-    return out
+    targets = set()
+    for t in family:
+        t = tuple(sorted(set(t)))
+        if t and (t[0] < 0 or t[-1] >= n):
+            j = next(j for j in t if not 0 <= j < n)
+            raise StructuralError(f"{what} index {j} out of range for {n} actors")
+        targets.add(t)
+    return tuple(sorted(targets))
 
 
 class FHyperStructure:
-    """Per-actor families of target sets over one ActorSet, in canonical form."""
+    """Per-actor families of target sets over one ActorSet, in canonical form.
 
-    __slots__ = ("actors", "_masks")
+    ``targets[i]`` is i's family: a sorted tuple of distinct target sets,
+    each a sorted tuple of distinct actor indices.
+    """
+
+    __slots__ = ("actors", "targets", "_hash")
 
     def __init__(self, actors, targets):
         targets = list(targets)
@@ -99,19 +63,31 @@ class FHyperStructure:
         if len(targets) != n:
             raise StructuralError(f"expected {n} target families, got {len(targets)}")
         self.actors = actors
-        self._masks = _canonical_masks(_index_masks(targets, n, "target"), n)
+        self.targets = tuple(_canonical_family(family, n, "target") for family in targets)
+        self._hash = None
 
     @classmethod
     def _from_masks(cls, actors, families):
-        """Build from one family of target masks per actor; every mask is range-checked."""
-        return cls._from_canonical(actors, _canonical_masks(families, len(actors)))
+        """Build from one family of target masks per actor, as ``masks`` gives them.
+
+        Every mask must lie in range(1 << n), that is, name no index >= n.
+        """
+        n = len(actors)
+        out = []
+        for family in families:
+            family = set(family)
+            if family and (min(family) < 0 or max(family) >> n):
+                raise StructuralError(f"target set refers to an actor index >= {n}")
+            out.append(tuple(sorted(map(mask_members, family))))
+        return cls._from_canonical(actors, out)
 
     @classmethod
-    def _from_canonical(cls, actors, masks):
+    def _from_canonical(cls, actors, targets):
         """Build from families that ``_canonical_family`` returned for ``len(actors)``."""
         h = cls.__new__(cls)
         h.actors = actors
-        h._masks = tuple(masks)
+        h.targets = tuple(targets)
+        h._hash = None
         return h
 
     @classmethod
@@ -133,105 +109,109 @@ class FHyperStructure:
 
     @property
     def masks(self):
-        """Each actor's family of target masks, a sorted tuple of distinct ints."""
-        return self._masks
-
-    @property
-    def targets(self):
-        """Each actor's target sets as sorted index tuples, in sorted order."""
-        return tuple(_decode(family) for family in self._masks)
+        """Each actor's family as a sorted tuple of distinct int masks, derived on each read."""
+        return tuple(tuple(sorted(map(index_mask, family))) for family in self.targets)
 
     def edges(self):
         """Yield (source, target tuple) hyperedges in canonical order."""
-        for a, family in enumerate(self._masks):
-            for t in sorted(map(mask_members, family)):
+        for a, family in enumerate(self.targets):
+            for t in family:
                 yield a, t
 
     def label_edges(self):
         label = self.actors.labels.__getitem__
         return [
             (label(a), tuple(map(label, t)))
-            for a, family in enumerate(self._masks)
-            for t in sorted(map(mask_members, family))
+            for a, family in enumerate(self.targets)
+            for t in family
         ]
 
     @property
     def edge_count(self):
-        return sum(map(len, self._masks))
+        return sum(map(len, self.targets))
 
     @property
     def is_empty(self):
-        return not any(self._masks)
+        return not any(self.targets)
 
     @property
     def has_empty_target(self):
-        # masks are sorted, so an empty target is the first of its family
-        return any(family and not family[0] for family in self._masks)
+        # families are sorted, so an empty target is the first of its family
+        return any(family and not family[0] for family in self.targets)
 
     def stored_bits(self):
-        """What the structure keeps, in bits: each mask's bits plus a 64-bit slot
-        per actor and per mask."""
-        masks = self._masks
-        return 64 * (len(masks) + sum(map(len, masks))) + sum(map(int.bit_length, chain.from_iterable(masks)))
+        """What the structure keeps, in bits: a 64-bit slot per actor, per target
+        set and per target member."""
+        fams = self.targets
+        return 64 * (len(fams) + sum(map(len, fams)) + sum(map(len, chain.from_iterable(fams))))
 
     def signature(self, i, image):
-        """The images under ``image`` of i's target sets, as a frozenset of masks."""
-        return frozenset(_image_mask(m, image) for m in self._masks[i])
+        """The images under ``image`` of i's target sets, as a frozenset of frozensets."""
+        get = image.__getitem__
+        return frozenset([frozenset(map(get, t)) for t in self.targets[i]])
 
     def support(self, i):
-        """The actors that i's signature reads: the union of its target sets."""
-        return mask_members(_union(self._masks[i]))
+        """The actors that i's signature reads: the union of its target sets, in index order."""
+        return tuple(sorted(set(chain.from_iterable(self.targets[i]))))
 
-    def successors(self, masks):
+    def successors(self, nodes):
         """Each actor's target sets as nodes of ``refine``'s edge view.
 
-        ``masks`` maps each distinct target mask to its node, numbered from n
-        on in order of first sight; a mask not yet in it is added, so the
-        structures of one roster share the node of a mask.
+        ``nodes`` maps each distinct target set, by its index tuple, to its
+        node, numbered from n on in order of first sight; a target set not yet
+        in it is added, so the structures of one roster share its node.
         """
         n = len(self.actors)
-        return [tuple(masks.setdefault(m, n + len(masks)) for m in family) for family in self._masks]
+        return [tuple(nodes.setdefault(t, n + len(nodes)) for t in family) for family in self.targets]
 
     def pushforward(self, image, target):
         """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
         check_image(image, self.actors, target)
+        get = image.__getitem__
         fams = [set() for _ in range(len(target))]
-        for a in range(len(self.actors)):
-            fams[image[a]] |= self.signature(a, image)
-        return FHyperStructure._from_masks(target, fams)
+        seen = {}  # each distinct target set's image, made once
+        for a, family in enumerate(self.targets):
+            if family:
+                fam = fams[image[a]]
+                for t in family:
+                    u = seen.get(t)
+                    if u is None:
+                        u = seen[t] = tuple(sorted(set(map(get, t))))
+                    fam.add(u)
+        return FHyperStructure._from_canonical(target, [tuple(sorted(f)) for f in fams])
 
     def __eq__(self, other):
         return (
             isinstance(other, FHyperStructure)
             and self.actors == other.actors
-            and self._masks == other._masks
+            and self.targets == other.targets
         )
 
     def __hash__(self):
-        return hash((self.actors.labels, self._masks))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.targets)
+        return h
 
     def __repr__(self):
         return f"FHyperStructure({self.label_edges()!r})"
 
 
 class UndirectedHypergraph:
-    """A plain hypergraph: a set of vertex subsets over one ActorSet."""
+    """A plain hypergraph: a set of vertex subsets over one ActorSet.
 
-    __slots__ = ("actors", "_masks")
+    ``hyperedges`` is a sorted tuple of distinct sorted index tuples.
+    """
+
+    __slots__ = ("actors", "hyperedges")
 
     def __init__(self, actors, hyperedges):
-        n = len(actors)
         self.actors = actors
-        (self._masks,) = _canonical_masks(_index_masks([hyperedges], n, "vertex"), n)
+        self.hyperedges = _canonical_family(hyperedges, len(actors), "vertex")
 
     @classmethod
     def from_label_edges(cls, actors, hyperedges):
         return cls(actors, [[actors.resolve(x) for x in edge] for edge in hyperedges])
-
-    @property
-    def hyperedges(self):
-        """The hyperedges as sorted index tuples, in sorted order."""
-        return _decode(self._masks)
 
     def label_hyperedges(self):
         labs = self.actors.labels
@@ -241,11 +221,11 @@ class UndirectedHypergraph:
         return (
             isinstance(other, UndirectedHypergraph)
             and self.actors == other.actors
-            and self._masks == other._masks
+            and self.hyperedges == other.hyperedges
         )
 
     def __hash__(self):
-        return hash((self.actors.labels, self._masks))
+        return hash((self.actors.labels, self.hyperedges))
 
     def __repr__(self):
         return f"UndirectedHypergraph({self.label_hyperedges()!r})"
@@ -271,7 +251,7 @@ def neighbourhood(h, actor):
     if not (0 <= a < len(h.actors)):
         raise StructuralError(f"actor index {a} out of range")
     labs = h.actors.labels
-    return tuple(tuple(labs[j] for j in t) for t in _decode(h._masks[a]))
+    return tuple(tuple(labs[j] for j in t) for t in h.targets[a])
 
 
 def from_undirected(u):
@@ -279,30 +259,32 @@ def from_undirected(u):
 
     Every hyperedge W contributes, for each member a, the hyperedge
     (a, W minus {a}); a singleton hyperedge {a} therefore becomes (a, ()).
+    Distinct hyperedges through a give distinct targets, so each family only
+    needs sorting.
     """
     fams = [[] for _ in range(len(u.actors))]
-    for w in u._masks:
-        for a in mask_members(w):
-            fams[a].append(w ^ (1 << a))
-    return FHyperStructure._from_masks(u.actors, fams)
+    for w in u.hyperedges:
+        for a in w:
+            fams[a].append(tuple(x for x in w if x != a))
+    return FHyperStructure._from_canonical(u.actors, [tuple(sorted(f)) for f in fams])
 
 
 def is_graph_like(h):
     """True when every target is a singleton, i.e. the structure encodes a relation."""
-    return all(m and not m & (m - 1) for family in h._masks for m in family)
+    return all(len(t) == 1 for family in h.targets for t in family)
 
 
 def to_relation(h):
     """Collapse a singleton-target structure to the relation it encodes."""
     if not is_graph_like(h):
         raise StructuralError("structure has a non-singleton target; not graph-like")
-    return Relation(h.actors, [_union(family) for family in h._masks])
+    # a family of distinct singletons, sorted, lists its members in index order
+    return Relation._from_canonical(h.actors, [tuple(t for (t,) in family) for family in h.targets])
 
 
 def embed_relation(r):
     """The singleton-target structure encoding a relation: (a, {b}) per pair (a, b)."""
-    fams = [[1 << j for j in mask_members(row)] for row in r.rows]
-    return FHyperStructure._from_masks(r.actors, fams)
+    return FHyperStructure._from_canonical(r.actors, [tuple((j,) for j in row) for row in r.out])
 
 
 # ── the two compositions ─────────────────────────────────────────────────────
@@ -317,20 +299,18 @@ def tight_compose(k, h, *, memo=None):
 
     ``memo``, one dict per left operand k, maps each family of h already
     composed with k to its canonical result, so a distinct family is composed
-    and range-checked once; without it, each call starts an empty one.
+    once; without it, each call starts an empty one.
     """
     k.actors.require_same(h.actors)
     if memo is None:
         memo = {}
-    ks, n = k._masks, len(h.actors)
+    ks = k.targets.__getitem__
     fams = []
-    for family in h._masks:
+    for family in h.targets:
         out = memo.get(family)
         if out is None:
-            out = set()
-            for b in mask_members(_union(family)):
-                out.update(ks[b])
-            out = memo[family] = _canonical_family(out, n)
+            members = set(chain.from_iterable(family))
+            out = memo[family] = tuple(sorted(set().union(*map(ks, members))))
         fams.append(out)
     return FHyperStructure._from_canonical(h.actors, fams)
 
@@ -345,35 +325,38 @@ def loose_compose(k, h, prune_empty=False, *, memo=None):
 
     ``memo``, one dict per left operand k and ``prune_empty`` value, maps
     each family of h already composed to its canonical result, so a distinct
-    family is composed and range-checked once, and each actor's union of
-    k-targets is built on a call's first miss only; without it, each call
-    starts an empty one.
+    family is composed once; without it, each call starts an empty one.  On
+    a call's first miss, each actor's union of k-targets is made an int mask,
+    bit j for actor j, so that W is a few ORs, decoded once per result.
     """
     k.actors.require_same(h.actors)
     if memo is None:
         memo = {}
-    n, flat = len(h.actors), None
+    flat = None
     fams = []
-    for family in h._masks:
+    for family in h.targets:
         out = memo.get(family)
         if out is None:
             if flat is None:
-                flat = [_union(targets) for targets in k._masks]
-            out = []
+                flat = [index_mask(chain.from_iterable(targets)) for targets in k.targets]
+            masks = set()
             for v in family:
                 w = 0
-                for b in mask_members(v):
+                for b in v:
                     w |= flat[b]
                 if w or not prune_empty:
-                    out.append(w)
-            out = memo[family] = _canonical_family(out, n)
+                    masks.add(w)
+            out = memo[family] = tuple(sorted(map(mask_members, masks)))
         fams.append(out)
     return FHyperStructure._from_canonical(h.actors, fams)
 
 
 def prune_empty_targets(h):
     """Drop every hyperedge whose target set is empty."""
-    return FHyperStructure._from_masks(h.actors, [[m for m in family if m] for family in h._masks])
+    # families are sorted, so an empty target is the first of its family
+    return FHyperStructure._from_canonical(
+        h.actors, [family[1:] if family and not family[0] else family for family in h.targets]
+    )
 
 
 # ── blockmodels and regularity: the shared code in ``core`` ─────────────────

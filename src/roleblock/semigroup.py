@@ -22,8 +22,8 @@ from .hypergraph import MultiHypergraph, loose_compose, tight_compose
 DEFAULT_CAP = 10_000
 
 # A closure may keep cap * BITS_PER_ELEMENT bits of elements, summed over what
-# each element's ``stored_bits()`` reports: 8 KiB per element of the cap, so
-# about 78 MiB at the default cap.
+# each element's ``stored_bits()`` reports: 8 KiB per element of the cap, room
+# for 1,024 index slots of 64 bits, so about 78 MiB at the default cap.
 BITS_PER_ELEMENT = 8 * 8192
 
 COMPOSE_KINDS = ("graph", "tight", "loose")
@@ -349,13 +349,21 @@ def find_identity(s):
     return _first_zero_or_identity(s, range(len(s)), zero=False)
 
 
+def _display_labels(s):
+    # every element's ``display_label``, from one ``word_labels`` pass
+    labels = list(s.word_labels())
+    if s.absorbing is not None:
+        labels[s.absorbing] = "0"
+    return labels
+
+
 def multiplication_table(s):
     """Row labels and word-label grid over the nonzero elements.
 
     The absorbing element's row and column are omitted; entries landing on it
     render as "0".
     """
-    shown = [s.display_label(i) for i in range(len(s))]
+    shown = _display_labels(s)
     idxs = s.nonzero_indices()
     zero = s.absorbing
     grid = [list(_pick(shown, row)) for x, row in enumerate(_rows(s, idxs)) if x != zero]
@@ -381,7 +389,7 @@ def render_table_csv(s, write=None):
         lines = []
         render_table_csv(s, lines.append)
         return "".join(lines)
-    shown = [_csv_field(s.display_label(i)) for i in range(len(s))]
+    shown = list(map(_csv_field, _display_labels(s)))
     idxs = s.nonzero_indices()
     zero = s.absorbing
     write(",".join(["*"] + [shown[i] for i in idxs]) + "\n")

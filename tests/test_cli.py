@@ -340,12 +340,13 @@ class TestRoles:
         assert "generator" in capsys.readouterr().err
 
     def test_memory_budget_exit_code(self, files, capsys):
-        # one element, but 2,000 rows that each reach the last actor: about
-        # 4.1 Mbit, over the budget of cap 50 and within that of cap 100
+        # one idempotent element, but 2,000 rows that each reach the last 30
+        # actors: 64 x (2,000 + 60,000) bits, about 3.97 Mbit, over the budget
+        # of cap 50 (3.28 Mbit) and within that of cap 100 (6.55 Mbit)
         _, _, _, wd = files
         labels = [f"a{i}" for i in range(2000)]
         path = wd("wide.json", {"kind": "graph", "actors": labels,
-                                "relations": {"R": [[a, labels[-1]] for a in labels]}})
+                                "relations": {"R": [[a, b] for a in labels for b in labels[-30:]]}})
         assert main(["roles", "--network", path, "--compose", "graph", "--cap", "50"]) == 3
         assert "memory budget" in capsys.readouterr().err
         assert main(["roles", "--network", path, "--compose", "graph", "--cap", "100"]) == 0

@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -221,3 +224,24 @@ class TestCanonicalText:
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
         assert text.index('"B"') < text.index('"P"') < text.index('"S"')
+
+
+def test_sparse_graph_holds_linear_memory():
+    # 20,000 actors with 3 random out-neighbours each: index tuples hold
+    # O(n + m); one int mask per row would hold O(n^2) bits, about 40 MiB
+    rng = random.Random(0)
+    n = 20_000
+    labels = [f"a{i}" for i in range(n)]
+    edges = [[labels[i], labels[rng.randrange(n)]] for i in range(n) for _ in range(3)]
+    doc = {"kind": "graph", "actors": labels, "relations": {"R": edges}}
+    distinct = len({tuple(edge) for edge in edges})
+    tracemalloc.start()
+    try:
+        net = documents.network_from_doc(doc)
+        del doc, edges
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2**20
+    assert sum(map(len, net.relations["R"].out)) == distinct

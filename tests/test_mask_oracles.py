@@ -1,12 +1,16 @@
-"""Bitmask F-structures, pinned to a tuple-form reference.
+"""Stored index tuples and the masks derived from them, pinned to naive references.
 
-``hypergraph`` stores each target set as an int mask.  On random structures
-over at most 6 actors, drawn with empty targets, duplicate members, repeated
-and unsorted sets, every view the mask code gives must equal the tuple-form
-oracle in ``helpers``: the decoded targets and edge order, both compositions
-(literal and with ``prune_empty``), signature equality, support, and the
-structure queries.  Index lists with indices out of range must fail with the
-tuple form's exact message.
+A ``Relation`` stores one sorted tuple of out-neighbours per actor, and an
+``FHyperStructure`` one sorted tuple of sorted target tuples; masks, bit j
+for actor j, appear only inside compositions and in the derived ``rows`` and
+``masks``.  On random F-structures over at most 6 actors, drawn with empty
+targets, duplicate members, repeated and unsorted sets, every view must equal
+the tuple-form oracle in ``helpers``: the targets and edge order, both
+compositions (literal and with ``prune_empty``), signature equality, support,
+the structure queries and the round trip through ``masks``.  On random pair
+lists over at most 8 actors, with duplicate pairs, every view of a relation
+must equal what the distinct pairs give.  Indices out of range must fail with
+the reference's exact message.
 """
 
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from helpers import (
 from roleblock import (
     ActorMap,
     FHyperStructure,
+    Relation,
     StructuralError,
     UndirectedHypergraph,
     from_undirected,
@@ -36,6 +41,7 @@ from roleblock import (
     prune_empty_targets,
     tight_compose,
 )
+from roleblock.core import Converse
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -65,6 +71,10 @@ def test_mask_form_matches_the_tuple_form(job, data):
     sigs, naive_sigs = [], []
     for h, naive in zip(hs, naives):
         assert h.targets == naive
+        assert h.masks == tuple(
+            tuple(sorted(sum(1 << j for j in t) for t in family)) for family in naive
+        )
+        assert FHyperStructure._from_masks(acts, h.masks) == h
         assert list(h.edges()) == naive_edges(naive)
         labs = acts.labels
         assert h.label_edges() == [
@@ -138,3 +148,72 @@ def test_range_errors_match_the_tuple_form(job):
     assert _error(UndirectedHypergraph, acts, edges) == _error(
         naive_canonical_families, [edges], n, "vertex"
     )
+
+
+@st.composite
+def pair_lists(draw):
+    """An actor count, pairs over it with repeats, and an image onto at most 6 blocks."""
+    n = draw(st.integers(0, 8))
+    index = st.integers(0, n - 1) if n else st.nothing()
+    pairs = draw(st.lists(st.tuples(index, index), max_size=20)) if n else []
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    image = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return n, pairs, image
+
+
+@SETTINGS
+@given(pair_lists())
+def test_relation_views_match_the_pairs(job):
+    n, pairs, img = job
+    acts = actors(n)
+    r = Relation.from_pairs(acts, pairs)
+    distinct = sorted(set(pairs))
+    out = [tuple(j for i, j in distinct if i == a) for a in range(n)]
+    into = [tuple(i for i, j in distinct if j == a) for a in range(n)]
+    assert list(r.pairs()) == distinct
+    assert r.out == tuple(out)
+    assert r.rows == tuple(sum(1 << j for j in row) for row in out)
+    # index lists in any order and with repeats, and the masks, give the same relation
+    assert Relation(acts, [[j for i, j in reversed(pairs) if i == a] for a in range(n)]) == r
+    assert Relation(acts, r.rows) == r
+    assert hash(Relation(acts, out)) == hash(r)
+    assert r.stored_bits() == 64 * (n + len(distinct))
+    assert r.is_empty == (not distinct)
+    nodes = {}
+    assert list(r.successors(nodes)) == out and not nodes
+    assert list(Converse(r).successors(nodes)) == into and not nodes
+    for a in range(n):
+        assert r.support(a) == out[a]
+        assert r.signature(a, img) == frozenset(img[j] for j in out[a])
+        assert Converse(r).support(a) == into[a]
+        assert Converse(r).signature(a, img) == frozenset(img[i] for i in into[a])
+        assert [r.has(a, j) for j in range(n)] == [(a, j) in distinct for j in range(n)]
+    assert list(r.transpose().pairs()) == sorted((j, i) for i, j in distinct)
+    target = actors(max(img, default=-1) + 1, "b")
+    pushed = r.pushforward(img, target)
+    assert list(pushed.pairs()) == sorted({(img[i], img[j]) for i, j in distinct})
+    assert pushed == Relation.from_pairs(target, [(img[i], img[j]) for i, j in pairs])
+
+
+@SETTINGS
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=6),
+    st.lists(st.lists(st.integers(-2, n + 1), max_size=4), min_size=n, max_size=n),
+)))
+def test_relation_range_errors_match_the_pairs(job):
+    n, pairs, lists = job
+    acts = actors(n)
+    bad = [(i, j) for i, j in pairs if not (0 <= i < n and 0 <= j < n)]
+    expected = f"pair {bad[0]} out of range for {n} actors" if bad else None
+    assert _error(Relation.from_pairs, acts, pairs) == expected
+    # out-lists: the first actor with an index out of range names its smallest
+    bad = [min(j for j in row if not 0 <= j < n) for row in lists if any(not 0 <= j < n for j in row)]
+    expected = f"out-neighbour index {bad[0]} out of range for {n} actors" if bad else None
+    assert _error(Relation, acts, lists) == expected
+    # a mask row may name no index >= n, and a negative mask names infinitely many
+    wide = [1 << n if a == n - 1 else 0 for a in range(n)]
+    if n:
+        assert _error(Relation, acts, wide) == "relation row refers to an actor index >= n"
+        assert _error(Relation, acts, [-1] * n) == "relation row refers to an actor index >= n"
+    assert _error(Relation, acts, [()] * (n + 1)) == f"expected {n} rows, got {n + 1}"

@@ -161,18 +161,20 @@ class TestGenerateClosure:
 
     def test_memory_budget_counts_stored_bits(self):
         # one idempotent relation on 2,000 actors whose rows all reach the last
-        # actor: 2,000 x (2,000 + 64) bits, just over 62 x BITS_PER_ELEMENT
+        # 30 actors: a 64-bit slot per actor and per out-neighbour, between
+        # 50 and 100 x BITS_PER_ELEMENT
         acts = actors(2000)
-        r = Relation.from_pairs(acts, [(i, 1999) for i in range(2000)])
-        assert r.stored_bits() == 2000 * 2064 > 62 * BITS_PER_ELEMENT
+        r = Relation.from_pairs(acts, [(i, j) for i in range(2000) for j in range(1970, 2000)])
+        assert r.stored_bits() == 64 * (2000 + 2000 * 30)
+        assert 50 * BITS_PER_ELEMENT < r.stored_bits() <= 100 * BITS_PER_ELEMENT
         net = MultiNetwork(acts, [("R", r)])
         with pytest.raises(ResourceLimitError, match="memory budget") as err:
-            role_semigroup(net, "graph", cap=62)
+            role_semigroup(net, "graph", cap=50)
         assert err.value.count == 0
-        assert len(role_semigroup(net, "graph", cap=63)) == 1
-        # per actor 64 bits, per mask 64 bits plus its own
+        assert len(role_semigroup(net, "graph", cap=100)) == 1
+        # 64 bits per actor, per target set and per target member
         h = FHyperStructure(actors(3), [[(0, 2)], [], [(), (1,)]])
-        assert h.stored_bits() == (64 + 64 + 3) + 64 + (64 + 128 + 0 + 2)
+        assert h.stored_bits() == 64 * (3 + 3 + 3)
 
     def test_zero_generators_rejected(self):
         with pytest.raises(InputError):

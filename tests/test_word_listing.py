@@ -1,9 +1,9 @@
 """The ``roles --words`` listing, pinned to ``structure_to_doc``.
 
 ``documents.structure_lines`` formats each distinct (actor, part) of a
-closure once and decodes each target mask once; its lines must equal
-``json.dumps(structure_to_doc(x), sort_keys=True)`` byte for byte on every
-element of graph, tight, loose and loose-pruned closures.  Rosters draw labels whose sorted order differs from
+closure once and reads the stored index tuples, decoding no mask; its lines
+must equal ``json.dumps(structure_to_doc(x), sort_keys=True)`` byte for byte
+on every element of graph, tight, loose and loose-pruned closures.  Rosters draw labels whose sorted order differs from
 roster order, non-ASCII labels and labels holding ``"`` or ``\\``; rows and
 families may be empty, targets may be empty, and a target's labels come in
 roster order, so they need not be sorted.
@@ -24,7 +24,9 @@ from roleblock import (
     MultiNetwork,
     Relation,
     ResourceLimitError,
+    core,
     documents,
+    hypergraph,
     role_semigroup,
 )
 from roleblock.cli import main
@@ -105,16 +107,18 @@ def test_lines_follow_each_structures_roster():
     assert list(structure_lines(structures)) == ['[["a", "b"]]', '[["b", "a"]]']
 
 
-def decodes(s):
-    """The masks to decode: one per distinct (actor, row) of a relation, one per
-    distinct target mask of an F-structure."""
-    rows, masks = set(), set()
+def parts(s):
+    """The distinct (actor, part) pairs to format: each nonempty row of a
+    relation, each nonempty family of an F-structure."""
+    seen = set()
     for x in s.elements:
-        if isinstance(x, Relation):
-            rows.update((a, row) for a, row in enumerate(x.rows) if row)
-        else:
-            masks.update(m for family in x.masks for m in family)
-    return len(rows) + len(masks)
+        stored = x.out if isinstance(x, Relation) else x.targets
+        seen.update((a, part) for a, part in enumerate(stored) if part)
+    return len(seen)
+
+
+def refuse(*args):
+    raise AssertionError("the listing called a function it must not call")
 
 
 @pytest.mark.parametrize(
@@ -124,28 +128,36 @@ def decodes(s):
         (random_network(random.Random(15), 5, 2, 0.25), ["--compose", "graph"]),
         (parent_grandparent_hyper(), ["--compose", "loose"]),
         # 47 elements: 68 distinct (actor, family) parts holding 326 targets
-        # over 15 distinct masks
         (random_multihyper(random.Random(13), 5, 2, 3, 3), ["--compose", "tight"]),
     ],
     ids=["random-graph", "tree-loose", "random-tight"],
 )
-def test_listing_decodes_each_row_and_target_once(net, compose, tmp_path, capsys, monkeypatch):
+def test_listing_decodes_nothing_and_formats_each_part_once(
+    net, compose, tmp_path, capsys, monkeypatch
+):
     path = tmp_path / "net.json"
     documents.save_network(net, path)
     s = role_semigroup(net, compose[1])
-    decoded = []
-    real = documents.mask_members
+    expected = oracle(s.elements)
+    with monkeypatch.context() as patch:
+        # no mask is decoded or built while the lines are made
+        for module in (core, hypergraph, documents):
+            patch.setattr(module, "mask_members", refuse, raising=False)
+            patch.setattr(module, "index_mask", refuse, raising=False)
+        patch.setattr(Relation, "rows", property(refuse))
+        patch.setattr(FHyperStructure, "masks", property(refuse))
+        assert list(structure_lines(s.elements)) == expected
+    formatted = []
+    for name in ("_pairs", "_hyperedges"):
+        real = getattr(documents._Fragments, name)
 
-    def counted(mask):
-        decoded.append(mask)
-        return real(mask)
+        def counted(self, src, part, real=real):
+            formatted.append(part)
+            return real(self, src, part)
 
-    def refuse(x):
-        raise AssertionError("the listing called structure_to_doc")
-
-    monkeypatch.setattr(documents, "mask_members", counted)
+        monkeypatch.setattr(documents._Fragments, name, counted)
     monkeypatch.setattr(documents, "structure_to_doc", refuse)
     assert main(["roles", "--network", str(path), *compose, "--words"]) == 0
     out = capsys.readouterr().out
     assert out.count("\t") == len(s)
-    assert len(decoded) == decodes(s)
+    assert len(formatted) == parts(s)
