@@ -261,7 +261,10 @@ def _add_compose_options(sub):
 
 
 def build_parser():
-    """A fresh parser for the ``roleblock`` command, for callers who extend it."""
+    """A fresh parser for the ``roleblock`` command, for callers who extend it.
+
+    Its ``verbs`` attribute maps each verb to that verb's subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="roleblock",
         description="Role and positional analysis of multirelational networks "
@@ -324,6 +327,7 @@ def build_parser():
     p.add_argument("--mode", choices=["out", "in", "both"])
     p.set_defaults(func=_cmd_oracle)
 
+    parser.verbs = sub.choices
     return parser
 
 
@@ -340,8 +344,21 @@ def main(argv=None):
     parser once, on the first call, and reuses it: parsing keeps no state in
     the parser, so each call sees only its own arguments and defaults.
     ``build_parser()`` returns a fresh parser for callers who want to extend it.
+
+    When ``argv`` starts with a verb, the rest goes straight to that verb's
+    subparser, which is what the full parser would hand it; leftovers are
+    reported by the full parser, as it would.  Any other ``argv`` (empty,
+    help, an unknown verb) gets the full parse.
     """
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = verb.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except (InputError, StructuralError, OSError) as exc:

@@ -25,8 +25,63 @@ from .reduction import ActorMap
 KINDS = ("graph", "fhyper", "undirected")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps_canonical(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical text of ``doc``: ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
+
+    The text is that, byte for byte, but the containers are not handed to
+    ``json.dumps``: with ``indent`` set it always runs its pure-Python
+    encoder.  Strings go through the C function that ``json`` itself uses,
+    and a list of strings is written in one join.
+    """
+    out = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(v, indent, emit):
+    """Emit the JSON of ``v``; ``indent`` is a newline and the spaces that begin its lines.
+
+    Lists, tuples and dicts with string keys are written here, scalars by
+    ``json.dumps``.  Any other container goes to ``json.dumps`` with the
+    canonical options, re-indented: strings hold no raw newline in JSON, so
+    replacing each newline re-indents exactly.
+    """
+    t = type(v)
+    if t is str:
+        emit(_quote(v))
+    elif not isinstance(v, (list, tuple, dict)):
+        emit(json.dumps(v))
+    elif not v:
+        emit("{}" if isinstance(v, dict) else "[]")
+    elif t is list or t is tuple:
+        inner = indent + "  "
+        try:
+            emit("[" + inner + ("," + inner).join(map(_quote, v)) + indent + "]")
+            return
+        except TypeError:  # an item is not a string
+            pass
+        emit("[")
+        sep = inner
+        for x in v:
+            emit(sep)
+            _write(x, inner, emit)
+            sep = "," + inner
+        emit(indent + "]")
+    elif t is dict and all(type(k) is str for k in v):
+        inner = indent + "  "
+        emit("{")
+        sep = inner
+        for k in sorted(v):
+            emit(sep + _quote(k) + ": ")
+            _write(v[k], inner, emit)
+            sep = "," + inner
+        emit(indent + "}")
+    else:  # a subclass, or keys that json turns into strings
+        emit(json.dumps(v, indent=2, sort_keys=True).replace("\n", indent))
 
 
 def _load_json(path):

@@ -6,8 +6,6 @@ the kernel.  Validation checks both characterizations and reports each flag
 separately so a failing map can be diagnosed.
 """
 
-from dataclasses import dataclass, field
-
 from .core import Partition, check_image, quotient_actor_set
 from .errors import InvariantViolation, NotAReductionError, StructuralError, WellDefinednessError
 from .semigroup import DEFAULT_CAP, SemigroupHom, generator_induced_hom, role_semigroup
@@ -105,14 +103,38 @@ def role_closures(networks, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
 
 # ── validation ───────────────────────────────────────────────────────────────
 
-@dataclass
-class ReductionReport:
+class _Record:
+    """Keyword ``repr`` and field-wise ``==`` over the names in ``_fields``.
+
+    A plain class, not a dataclass: importing ``dataclasses`` loads ``inspect``
+    and its dependencies, a large share of the CLI's start-up.
+    """
+
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+
+class ReductionReport(_Record):
     """Per-flag outcome of validating a candidate positional reduction."""
 
-    surjective: bool
-    preserves: dict = field(default_factory=dict)
-    reflects: dict = field(default_factory=dict)
-    matches_blockmodel: bool = False
+    _fields = ("surjective", "preserves", "reflects", "matches_blockmodel")
+
+    def __init__(self, surjective, preserves=None, reflects=None, matches_blockmodel=False):
+        self.surjective = surjective
+        self.preserves = {} if preserves is None else preserves
+        self.reflects = {} if reflects is None else reflects
+        self.matches_blockmodel = matches_blockmodel
 
     @property
     def ok(self):
@@ -200,14 +222,16 @@ def induced_role_reduction(f, src, dst, compose_kind, prune_empty=False, cap=DEF
 
 # ── functoriality ────────────────────────────────────────────────────────────
 
-@dataclass
-class FunctorialityReport:
+class FunctorialityReport(_Record):
     """Outcome of checking that composing reductions composes the role homs."""
 
-    step_reports: list
-    identity_ok: bool
-    holds: bool
-    counterexample: str | None = None
+    _fields = ("step_reports", "identity_ok", "holds", "counterexample")
+
+    def __init__(self, step_reports, identity_ok, holds, counterexample=None):
+        self.step_reports = step_reports
+        self.identity_ok = identity_ok
+        self.holds = holds
+        self.counterexample = counterexample
 
     @property
     def ok(self):

@@ -905,3 +905,78 @@ def test_python_m_roleblock_runs_from_a_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: roleblock ")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # pytest loads both itself, so only a fresh interpreter can tell
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, roleblock.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# ── dispatch ─────────────────────────────────────────────────────────────────
+#
+# ``main`` hands the arguments after a verb straight to that verb's subparser.
+# Over this corpus it must give the same exit code, stdout, stderr and written
+# files as a ``main`` whose parser has no verb table, so that every argv gets
+# the full ``parse_args``.
+
+
+def test_dispatch_matches_the_full_parse(reentry, capsys, monkeypatch):
+    _, paths, out_dir, (_, wn, _, wd) = reentry
+    family, tree, e = paths["family"], paths["tree"], paths["e"]
+    ident = documents.map_to_doc(identity_map(family_three_merged().actors))
+    m = wd("map.json", ident)
+    s1 = wd("s1.json", documents.stage_to_doc(family_three_merged(), ident["map"]))
+    s2 = wd("s2.json", documents.stage_to_doc(family_three_merged()))
+    u = wn("u.json", coauthor_undirected())
+    q = str(out_dir / "q.json")
+    argvs = [
+        ["check-regular", "--network", family, "--partition", e, "--mode", "out"],
+        ["max-regular", "--network", tree],
+        ["max-regular", "--network", family, "--seed", e, "--mode", "in"],
+        ["blockmodel", "--network", family, "--partition", e, "-o", q, "--dot", str(out_dir / "q.dot")],
+        ["roles", "--network", tree, "--compose", "loose", "--prune-empty", "--words", "--table", "-"],
+        ["induce", "--source", family, "--map", m, "--target", family, "--compose", "graph"],
+        ["functor-check", "--stages", s1, s2, "--compose", "graph", "--cap", "50"],
+        ["convert", "--undirected", u, "-o", q],
+        ["oracle", "partitions", "--network", family],
+        ["oracle", "coarsest", "--network", tree],
+        [],
+        ["-h"],
+        ["--help"],
+        ["roles", "-h"],
+        ["induce", "--help"],
+        ["-h", "roles"],
+        ["--help", "max-regular", "--network", family],
+        ["no-such-verb", "--network", family],
+        ["max-regular", "--network", family, "extra"],
+        ["oracle", "coarsest", "extra", "--network", family],
+        ["max-regular", "--network", family, "--no-such-option"],
+        ["max-regular", "--network", family, "--no-such-option=1", "-x"],
+        ["check-regular", "--network", family],
+        ["roles", "--network", family],
+        ["max-regular", "--net", family],
+        ["max-regular", "--network=" + family, "--mode=out"],
+        ["roles", "--net=" + family, "--comp", "graph", "--cap=3"],
+        ["oracle", "--network", family, "--", "coarsest"],
+        ["max-regular", "--network", family, "--", "extra"],
+        ["max-regular", "--", "--network", family],
+        ["--", "max-regular", "--network", family],
+        ["max-regular", "--mode", "sideways", "--network", family],
+        ["roles", "--network", family, "--compose", "graph", "--cap", "many"],
+    ]
+    direct = [_call(argv, capsys, out_dir) for argv in argvs]
+    full = cli.build_parser()
+    full.verbs = {}
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_parser", lambda: full)
+        reference = [_call(argv, capsys, out_dir) for argv in argvs]
+    for argv, got, expected in zip(argvs, direct, reference):
+        assert got == expected, argv
+    assert {code for code, *_ in direct} == {0, 3, "SystemExit(0)", "SystemExit(2)"}

@@ -4,15 +4,25 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roleblock import InputError, MultiHypergraph, MultiNetwork, UndirectedHypergraph
+from roleblock import InputError, MultiHypergraph, MultiNetwork, Partition, UndirectedHypergraph
 from roleblock import documents
 from roleblock.fixtures import (
     coauthor_undirected,
+    fanout_pair_hyper,
     family_three,
+    family_three_merged,
     generations_partition,
+    mirrored_pair_graph,
+    mirrored_pair_partition,
     parent_grandparent_hyper,
+    parent_tree_hyper,
+    single_parent_graph,
+    tree_generations_partition,
 )
+from roleblock.reduction import identity_map
 
 
 class TestNetworkRoundTrip:
@@ -218,12 +228,59 @@ class TestStageDocuments:
             documents.load_stage(path)
 
 
+# The writer in ``dumps_canonical`` is pinned to ``json.dumps(indent=2,
+# sort_keys=True)`` on any JSON tree and on every fixture document.
+TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+), max_size=6)
+JSON_VALUES = st.recursive(
+    TEXT | st.integers() | st.booleans() | st.none() | st.floats(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(TEXT, max_size=4)
+        | st.dictionaries(TEXT, inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=3)  # json turns the keys into strings
+    ),
+    max_leaves=20,
+)
+FIXTURE_NETWORKS = [
+    family_three(), family_three_merged(), single_parent_graph(), mirrored_pair_graph(),
+    parent_tree_hyper(), parent_grandparent_hyper(), fanout_pair_hyper(), coauthor_undirected(),
+]
+FIXTURE_PARTITIONS = [
+    generations_partition(family_three_merged().actors),
+    mirrored_pair_partition(mirrored_pair_graph().actors),
+    tree_generations_partition(parent_tree_hyper().actors),
+]
+
+
 class TestCanonicalText:
     def test_keys_and_edges_sorted(self):
         text = documents.dumps_canonical(documents.network_to_doc(family_three()))
         doc = json.loads(text)
         assert list(doc) == sorted(doc)
         assert text.index('"B"') < text.index('"P"') < text.index('"S"')
+
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_matches_json_dumps(self, value):
+        assert documents.dumps_canonical(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_writer_matches_json_dumps_on_the_fixture_documents(self):
+        docs = []
+        for net in FIXTURE_NETWORKS:
+            ident = documents.map_to_doc(identity_map(net.actors))
+            docs += [
+                documents.network_to_doc(net),
+                documents.stage_to_doc(net),
+                documents.stage_to_doc(net, ident["map"]),
+                documents.partition_to_doc(Partition.universal(net.actors)),
+            ]
+        docs += [documents.partition_to_doc(e) for e in FIXTURE_PARTITIONS]
+        for doc in docs:
+            assert documents.dumps_canonical(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_sparse_graph_holds_linear_memory():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from helpers import actors, random_multihyper, random_network, random_partition
 from roleblock import (
     ActorMap,
     ActorSet,
+    FunctorialityReport,
     MultiNetwork,
     NotAReductionError,
     Partition,
+    ReductionReport,
     Relation,
     StructuralError,
     WellDefinednessError,
@@ -366,3 +369,60 @@ class TestCheckFunctoriality:
                 report = check_functoriality([mh, n1, n2], [f1, f2], kind, prune_empty=prune, cap=400)
                 assert report.ok
             done += 1
+
+
+# The report classes are plain classes; their constructors, defaults, ``==``
+# and ``repr`` are pinned to the dataclasses they replaced.
+
+@dataclasses.dataclass
+class DataclassReductionReport:
+    surjective: bool
+    preserves: dict = dataclasses.field(default_factory=dict)
+    reflects: dict = dataclasses.field(default_factory=dict)
+    matches_blockmodel: bool = False
+
+
+@dataclasses.dataclass
+class DataclassFunctorialityReport:
+    step_reports: list
+    identity_ok: bool
+    holds: bool
+    counterexample: str | None = None
+
+
+def _as_dataclass(report):
+    """The dataclass with ``report``'s fields, its step reports converted too."""
+    if isinstance(report, ReductionReport):
+        return DataclassReductionReport(
+            report.surjective, report.preserves, report.reflects, report.matches_blockmodel
+        )
+    return DataclassFunctorialityReport(
+        [_as_dataclass(r) for r in report.step_reports],
+        report.identity_ok, report.holds, report.counterexample,
+    )
+
+
+def test_reports_keep_the_dataclass_behaviour():
+    net = family_three_merged()
+    f, dst = quotient_stage(net, generations_partition(net.actors))
+    valid = validate_positional_reduction(f, net, dst)
+    chain = check_functoriality([net, dst], [f], "graph")
+    reports = [
+        ReductionReport(True),
+        ReductionReport(False, {"R": True}, matches_blockmodel=True),
+        valid,
+        FunctorialityReport([], True, False),
+        FunctorialityReport([valid], True, False, "element 'B'"),
+        chain,
+    ]
+    for report in reports:
+        mirror = _as_dataclass(report)
+        assert repr(report) == repr(mirror).replace("Dataclass", "")
+        for other in reports:
+            assert (report == other) == (mirror == _as_dataclass(other))
+        assert report != mirror
+    first, second = ReductionReport(True), ReductionReport(True)
+    first.preserves["R"] = True
+    assert second.preserves == {} and first.reflects is not second.reflects
+    with pytest.raises(TypeError):
+        hash(first)
