@@ -2,10 +2,11 @@
 
 A relation is stored as one sorted tuple of distinct out-neighbour indices
 per actor, O(n + m) for n actors and m pairs, which signatures, supports,
-refinement's edge view and pushforwards read as they are.  Int masks, bit j
-for actor j, are built only inside composition, where a role semigroup's
-small roster makes a row a machine word or two and a composite a few ORs,
-and by the brute-force oracle, which is capped at a few actors.
+refinement's edge view and pushforwards read as they are, and which the
+constructors build through ``canonical_indices``.  Int masks, bit j for actor
+j, are built only inside composition, where a role semigroup's small roster
+makes a row a machine word or two and a composite a few ORs, and by the
+brute-force oracle, which is capped at a few actors.
 Everything in this module is an immutable value: operations return fresh
 objects and never mutate their inputs.
 """
@@ -46,6 +47,18 @@ def sorted_distinct(items):
         a, b = items
         return (a, b) if a < b else (b, a) if b < a else (a,)
     return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
+
+
+def canonical_indices(items, n, what):
+    """An iterable of indices as a sorted tuple of distinct ones, each in range(n).
+
+    The error names the smallest index out of range; ``what`` names the index.
+    """
+    t = tuple(sorted(set(items)))
+    if t and (t[0] < 0 or t[-1] >= n):
+        j = next(j for j in t if not 0 <= j < n)
+        raise StructuralError(f"{what} index {j} out of range for {n} actors")
+    return t
 
 
 def index_mask(indices):
@@ -127,8 +140,7 @@ class ActorSet:
 class Relation:
     """A binary relation on an ActorSet; ``out[i]`` is i's out-neighbours, a sorted index tuple.
 
-    ``out`` gives, per actor, an iterable of out-neighbour indices (duplicates
-    collapse), or an int mask, bit j for actor j, as ``rows`` derives it.
+    ``out`` gives, per actor, an iterable of out-neighbour indices; duplicates collapse.
     """
 
     __slots__ = ("actors", "out", "_hash")
@@ -139,7 +151,7 @@ class Relation:
         if len(out) != n:
             raise StructuralError(f"expected {n} rows, got {len(out)}")
         self.actors = actors
-        self.out = tuple(_canonical_row(part, n) for part in out)
+        self.out = tuple(canonical_indices(part, n, "out-neighbour") for part in out)
         self._hash = None
 
     @classmethod
@@ -164,11 +176,6 @@ class Relation:
     @classmethod
     def from_label_pairs(cls, actors, pairs):
         return cls.from_pairs(actors, [(actors.resolve(a), actors.resolve(b)) for a, b in pairs])
-
-    @property
-    def rows(self):
-        """Each actor's out-neighbours as an int mask, bit j for actor j, derived on each read."""
-        return tuple(map(index_mask, self.out))
 
     def pairs(self):
         """Yield index pairs in row-major order."""
@@ -233,19 +240,6 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({sorted(self.label_pairs())!r})"
-
-
-def _canonical_row(part, n):
-    """One actor's out-neighbours, indices or a mask, as a sorted tuple of distinct indices."""
-    if isinstance(part, int):
-        if part < 0 or part >> n:
-            raise StructuralError("relation row refers to an actor index >= n")
-        return mask_members(part)
-    row = tuple(sorted(set(part)))
-    if row and (row[0] < 0 or row[-1] >= n):
-        j = next(j for j in row if not 0 <= j < n)
-        raise StructuralError(f"out-neighbour index {j} out of range for {n} actors")
-    return row
 
 
 def _turned_round(out):
@@ -378,10 +372,6 @@ class MultiStructure:
         self.relations = rels
 
     @property
-    def k(self):
-        return len(self.relations)
-
-    @property
     def names(self):
         return tuple(self.relations)
 
@@ -452,7 +442,7 @@ def compose_relations(r2, r1, *, memo=None):
         row = memo.get(mids)
         if row is None:
             if masks is None:
-                masks = r2.rows
+                masks = list(map(index_mask, r2.out))
             acc = 0
             for u in mids:
                 acc |= masks[u]
@@ -841,6 +831,7 @@ def bruteforce(structures, actors):
         lo[d], hi[d] = n + d, 2 * n + d
 
     place(0, 0)
+    del place  # it calls itself through its cell: free that cycle now, not in the collector
     return Partition(actors, best)
 
 

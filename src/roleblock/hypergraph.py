@@ -5,11 +5,12 @@ is stored as a sorted tuple of distinct actor indices, and each actor's family
 as a sorted tuple of distinct target sets (set-of-sets semantics: duplicate
 targets collapse, multiplicity is never tracked), O(n + m) in all for n actors
 and m target members.  The constructors build that form through
-``_canonical_family``, which checks that every index lies in range(n); the
-document decoder and the computed structures build it from indices already in
-range.  Signatures, pushforwards, refinement's edge view, ``targets``,
-``hyperedges`` and ``edges()`` read the stored tuples as they are.  An empty target set, the empty tuple, is a
-legal hyperedge target and is distinct from an actor having no hyperedges.
+``_canonical_family``, one ``core.canonical_indices`` call per set, which
+checks that every index lies in range(n); the document decoder and the
+computed structures build it from indices already in range.  Everything but
+``loose_compose`` reads the stored tuples as they are.  An empty target set,
+the empty tuple, is a legal hyperedge target and is distinct from an actor
+having no hyperedges.
 
 Both compositions take an optional ``memo`` dict, valid for one left operand
 and ``prune_empty`` value, that keeps the canonical result of each family of
@@ -23,6 +24,7 @@ from .core import (
     Relation,
     blockmodel_network,
     bruteforce,
+    canonical_indices,
     check_image,
     index_mask,
     mask_members,
@@ -38,14 +40,7 @@ def _canonical_family(family, n, what):
     Every index must lie in range(n); the error names the first one that does
     not, taking the sets in the order given and each set in sorted order.
     """
-    targets = set()
-    for t in family:
-        t = tuple(sorted(set(t)))
-        if t and (t[0] < 0 or t[-1] >= n):
-            j = next(j for j in t if not 0 <= j < n)
-            raise StructuralError(f"{what} index {j} out of range for {n} actors")
-        targets.add(t)
-    return tuple(sorted(targets))
+    return tuple(sorted({canonical_indices(t, n, what) for t in family}))
 
 
 class FHyperStructure:
@@ -65,21 +60,6 @@ class FHyperStructure:
         self.actors = actors
         self.targets = tuple(_canonical_family(family, n, "target") for family in targets)
         self._hash = None
-
-    @classmethod
-    def _from_masks(cls, actors, families):
-        """Build from one family of target masks per actor, as ``masks`` gives them.
-
-        Every mask must lie in range(1 << n), that is, name no index >= n.
-        """
-        n = len(actors)
-        out = []
-        for family in families:
-            family = set(family)
-            if family and (min(family) < 0 or max(family) >> n):
-                raise StructuralError(f"target set refers to an actor index >= {n}")
-            out.append(tuple(sorted(map(mask_members, family))))
-        return cls._from_canonical(actors, out)
 
     @classmethod
     def _from_canonical(cls, actors, targets):
@@ -106,11 +86,6 @@ class FHyperStructure:
             actors,
             [(actors.resolve(src), [actors.resolve(x) for x in tgt]) for src, tgt in edges],
         )
-
-    @property
-    def masks(self):
-        """Each actor's family as a sorted tuple of distinct int masks, derived on each read."""
-        return tuple(tuple(sorted(map(index_mask, family))) for family in self.targets)
 
     def edges(self):
         """Yield (source, target tuple) hyperedges in canonical order."""

@@ -6,6 +6,7 @@ convention in which the leftmost generator name is the last one applied, so
 the word "PS" denotes P composed after S.
 """
 
+from collections import defaultdict
 from collections.abc import Sequence
 from operator import itemgetter
 
@@ -35,29 +36,22 @@ def composition_for(compose_kind, prune_empty=False):
     The op hands the compose function one ``memo`` per left operand k (and
     its fixed ``prune_empty``), so each distinct row or target family of a
     right operand is composed with k once while the op lives.  Memos are
-    keyed by ``id(k)`` and hold k, so no id is reused; they are freed with
-    the op, so take one op per closure, whose left operands are its
-    generators.  Two ops share no memo.
+    keyed by k itself: a memo depends only on k's value, so equal left
+    operands share one.  They are freed with the op, so take one op per
+    closure, whose left operands are its generators.  Two ops share no memo.
     """
     if compose_kind not in COMPOSE_KINDS:
         raise StructuralError(f"compose kind must be one of {COMPOSE_KINDS}, got {compose_kind!r}")
     if prune_empty and compose_kind != "loose":
         raise StructuralError("prune_empty only applies to loose composition")
-    memos = {}
-
-    def memo_for(k):
-        entry = memos.get(id(k))
-        if entry is None:
-            entry = memos[id(k)] = (k, {})
-        return entry[1]
-
+    memos = defaultdict(dict)
     # the compose functions are looked up by module name at each call, so a
     # wrapper set on that name sees every product
     if compose_kind == "graph":
-        return lambda k, h: compose_relations(k, h, memo=memo_for(k))
+        return lambda k, h: compose_relations(k, h, memo=memos[k])
     if compose_kind == "tight":
-        return lambda k, h: tight_compose(k, h, memo=memo_for(k))
-    return lambda k, h: loose_compose(k, h, prune_empty, memo=memo_for(k))
+        return lambda k, h: tight_compose(k, h, memo=memos[k])
+    return lambda k, h: loose_compose(k, h, prune_empty, memo=memos[k])
 
 
 class RoleSemigroup:

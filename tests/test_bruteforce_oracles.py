@@ -6,9 +6,11 @@ return the same partition on random graphs (empty and complete relations
 among them, every mode) and F-hypergraphs (empty, repeated and unsorted target
 sets) of up to 7 actors.  Its ``signature`` calls are counted against the
 scan's on two inputs with a discrete answer, where the scan has to reject
-every coarser partition, and on one where the bound cut acts.
+every coarser partition, and on one where the bound cut acts.  A search
+leaves no reference cycle behind for the cyclic collector to free.
 """
 
+import gc
 import random
 
 import pytest
@@ -22,8 +24,16 @@ from helpers import (
     random_network,
     random_relation,
 )
-from roleblock import FHyperStructure, MultiHypergraph, MultiNetwork, Relation
-from roleblock import core
+from roleblock import (
+    FHyperStructure,
+    MultiHypergraph,
+    MultiNetwork,
+    Relation,
+    coarsest_regular_bruteforce,
+    coarsest_regular_hyper_bruteforce,
+    core,
+    fixtures,
+)
 from roleblock.core import bruteforce
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -36,9 +46,9 @@ def graph(rng):
     for name in ("R", "S")[: rng.randint(1, 2)]:
         shape = rng.random()
         if shape < 0.15:
-            rel = Relation(acts, [0] * n)
+            rel = Relation(acts, [()] * n)
         elif shape < 0.3:
-            rel = Relation(acts, [(1 << n) - 1] * n)
+            rel = Relation(acts, [range(n)] * n)
         else:
             rel = random_relation(rng, acts, rng.choice([0.1, 0.2, 0.35, 0.6]))
         rels.append((name, rel))
@@ -126,3 +136,26 @@ def test_signature_calls_are_pinned(make, blocks, search_calls, scan_calls):
     assert found == scanned
     assert found.num_blocks == blocks
     assert (calls, naive_calls) == (search_calls, scan_calls)
+
+
+@pytest.mark.parametrize(
+    "make,oracle",
+    [
+        (fixtures.family_three, coarsest_regular_bruteforce),
+        (fixtures.mirrored_pair_graph, coarsest_regular_bruteforce),
+        (fixtures.parent_grandparent_hyper, coarsest_regular_hyper_bruteforce),
+        (fixtures.fanout_pair_hyper, coarsest_regular_hyper_bruteforce),
+    ],
+    ids=["family-three", "mirrored-pair", "parent-grandparent", "fanout-pair"],
+)
+def test_search_leaves_no_reference_cycle(make, oracle):
+    net = make()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        oracle(net)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

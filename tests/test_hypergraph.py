@@ -103,15 +103,6 @@ def test_vertex_out_of_range_is_named(sets, bad):
     assert str(exc.value) == f"vertex index {bad} out of range for 3 actors"
 
 
-# Target masks that name an actor index >= 3: bit 3 alone, bits 0 and 3, a
-# high bit, and a negative mask (infinitely many bits set).
-@pytest.mark.parametrize("mask", [1 << 3, 0b1001, 1 << 70, -1])
-def test_target_mask_out_of_range_is_a_structural_error(mask):
-    with pytest.raises(StructuralError) as exc:
-        FHyperStructure._from_masks(actors(3), [[], [0b011, mask], [0]])
-    assert str(exc.value) == "target set refers to an actor index >= 3"
-
-
 @pytest.mark.parametrize("image,message", BAD_IMAGES, ids=["short", "too-large", "negative"])
 def test_pushforward_rejects_a_bad_image(image, message):
     acts = actors(3)

@@ -1,17 +1,21 @@
-"""Stored index tuples and the masks derived from them, pinned to naive references.
+"""Stored index tuples and the compositions that build masks, pinned to naive references.
 
 A ``Relation`` stores one sorted tuple of out-neighbours per actor, and an
 ``FHyperStructure`` one sorted tuple of sorted target tuples; masks, bit j
-for actor j, appear only inside compositions and in the derived ``rows`` and
-``masks``.  On random F-structures over at most 6 actors, drawn with empty
-targets, duplicate members, repeated and unsorted sets, every view must equal
-the tuple-form oracle in ``helpers``: the targets and edge order, both
-compositions (literal and with ``prune_empty``), signature equality, support,
-the structure queries and the round trip through ``masks``.  On random pair
-lists over at most 8 actors, with duplicate pairs, every view of a relation
-must equal what the distinct pairs give.  Indices out of range must fail with
-the reference's exact message.
+for actor j, appear only inside compositions and the brute-force oracle.  On
+random F-structures over at most 6 actors, drawn with empty targets,
+duplicate members, repeated and unsorted sets, every view must equal the
+tuple-form oracle in ``helpers``: the targets and edge order, both
+compositions (literal and with ``prune_empty``), signature equality, support
+and the structure queries.  On random pair lists over at most 8 actors, with
+duplicate pairs, every view of a relation must equal what the distinct pairs
+give.  Indices out of range must fail with the reference's exact message.
+Outside their own definitions, the mask helpers are named only by the
+functions that build masks.
 """
+
+import ast
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,7 @@ from helpers import (
     pruned_loose_oracle,
     tight_oracle,
 )
+import roleblock
 from roleblock import (
     ActorMap,
     FHyperStructure,
@@ -71,10 +76,6 @@ def test_mask_form_matches_the_tuple_form(job, data):
     sigs, naive_sigs = [], []
     for h, naive in zip(hs, naives):
         assert h.targets == naive
-        assert h.masks == tuple(
-            tuple(sorted(sum(1 << j for j in t) for t in family)) for family in naive
-        )
-        assert FHyperStructure._from_masks(acts, h.masks) == h
         assert list(h.edges()) == naive_edges(naive)
         labs = acts.labels
         assert h.label_edges() == [
@@ -172,10 +173,8 @@ def test_relation_views_match_the_pairs(job):
     into = [tuple(i for i, j in distinct if j == a) for a in range(n)]
     assert list(r.pairs()) == distinct
     assert r.out == tuple(out)
-    assert r.rows == tuple(sum(1 << j for j in row) for row in out)
-    # index lists in any order and with repeats, and the masks, give the same relation
+    # index lists in any order and with repeats give the same relation
     assert Relation(acts, [[j for i, j in reversed(pairs) if i == a] for a in range(n)]) == r
-    assert Relation(acts, r.rows) == r
     assert hash(Relation(acts, out)) == hash(r)
     assert r.stored_bits() == 64 * (n + len(distinct))
     assert r.is_empty == (not distinct)
@@ -211,9 +210,20 @@ def test_relation_range_errors_match_the_pairs(job):
     bad = [min(j for j in row if not 0 <= j < n) for row in lists if any(not 0 <= j < n for j in row)]
     expected = f"out-neighbour index {bad[0]} out of range for {n} actors" if bad else None
     assert _error(Relation, acts, lists) == expected
-    # a mask row may name no index >= n, and a negative mask names infinitely many
-    wide = [1 << n if a == n - 1 else 0 for a in range(n)]
-    if n:
-        assert _error(Relation, acts, wide) == "relation row refers to an actor index >= n"
-        assert _error(Relation, acts, [-1] * n) == "relation row refers to an actor index >= n"
     assert _error(Relation, acts, [()] * (n + 1)) == f"expected {n} rows, got {n + 1}"
+
+
+MASK_HELPERS = {"index_mask", "mask_members"}
+MASK_BUILDERS = MASK_HELPERS | {"compose_relations", "bruteforce", "loose_compose"}
+
+
+def test_masks_are_built_only_inside_composition_and_the_oracle():
+    users = set()
+    for path in Path(roleblock.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in MASK_HELPERS or (
+                    isinstance(sub, ast.Attribute) and sub.attr in MASK_HELPERS
+                ):
+                    users.add((path.name, getattr(node, "name", None)))
+    assert users and {name for _, name in users} <= MASK_BUILDERS, sorted(users, key=str)

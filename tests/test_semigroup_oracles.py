@@ -367,7 +367,7 @@ TRACED_NAMES = {"graph": "compose_relations", "tight": "tight_compose", "loose":
 def rebuilt(x, acts):
     """A new structure on ``acts`` with x's rows or target families."""
     if isinstance(x, Relation):
-        return Relation(acts, x.rows)
+        return Relation(acts, x.out)
     return FHyperStructure(acts, x.targets)
 
 
@@ -379,7 +379,7 @@ def test_memoized_compose_equals_memo_free_compose_and_oracle(
 ):
     # the calls reuse and interleave left operands, so most read a memo that
     # earlier calls warmed; a duplicate generator comes as the same object
-    # and as an equal copy, which keeps a memo of its own
+    # and as an equal copy, which shares the memo of the first
     generators = [g for _, g in random_generators(rng, compose_kind, duplicate)]
     acts = generators[0].actors
     if duplicate:

@@ -121,9 +121,9 @@ def test_hyper_refinement_equals_bruteforce(rng):
 
 def with_hubs(rng, net):
     """``net`` with about a fifth of its rows made full: hubs that point at every actor."""
-    full = (1 << len(net.actors)) - 1
+    full = range(len(net.actors))
     return MultiNetwork(net.actors, [
-        (name, Relation(net.actors, [full if rng.random() < 0.2 else row for row in r.rows]))
+        (name, Relation(net.actors, [full if rng.random() < 0.2 else row for row in r.out]))
         for name, r in net.relations.items()
     ])
 
