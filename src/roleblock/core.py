@@ -197,10 +197,14 @@ class Relation:
     def has(self, i, j):
         return j in self.out[i]
 
+    @staticmethod
+    def part_bits(row):
+        """What one actor's row adds to ``stored_bits``: a slot for it and one per member."""
+        return 64 * (1 + len(row))
+
     def stored_bits(self):
         """What the relation keeps, in bits: a 64-bit slot per actor and per out-neighbour."""
-        out = self.out
-        return 64 * (len(out) + sum(map(len, out)))
+        return sum(map(self.part_bits, self.out))
 
     def signature(self, i, image):
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
@@ -421,34 +425,91 @@ def _check_relation_name(name, seen):
 
 # ── composition and the constant relations ──────────────────────────────────
 
-def compose_relations(r2, r1, *, memo=None):
+class PartTable:
+    """The distinct parts a closure reaches, each interned once: ``parts[i]`` has id i.
+
+    A part is one actor's row of a relation or target family of an F-structure.
+    Given ``part_bits``, ``bits[i]`` caches what part i adds to a structure's
+    ``stored_bits()``, counted when it is interned.
+    """
+
+    __slots__ = ("parts", "ids", "bits", "part_bits")
+
+    def __init__(self, part_bits=None):
+        self.parts = []
+        self.ids = {}
+        self.bits = []
+        self.part_bits = part_bits
+
+    def intern(self, part):
+        """The id of ``part``, given the next free one on first sight."""
+        i = self.ids.get(part)
+        if i is None:
+            i = self.ids[part] = len(self.parts)
+            self.parts.append(part)
+            if self.part_bits is not None:
+                self.bits.append(self.part_bits(part))
+        return i
+
+
+class PartAction(dict):
+    """A left operand's action on the parts of a ``PartTable``: part id -> part id.
+
+    Every composition is per actor: actor a's part of k after h depends only
+    on k and on a's part of h.  ``left`` holds k's parts, one per actor.  The
+    compose function of k's kind sets ``rule``, its one-part rule for k, on
+    its first call; an id not yet in the action is filled on first sight by
+    that rule, its result interned.  An action is valid for one compose kind
+    (and ``prune_empty`` value).
+    """
+
+    __slots__ = ("table", "left", "rule")
+
+    def __init__(self, table, left):
+        super().__init__()
+        self.table = table
+        self.left = left
+        self.rule = None
+
+    def __missing__(self, i):
+        table = self.table
+        j = self[i] = table.intern(self.rule(table.parts[i]))
+        return j
+
+
+def act_once(compose, left, right, *args):
+    """The parts of the composite of a left operand with parts ``left`` after a
+    right one with parts ``right``: ``compose``'s action over a fresh table."""
+    table = PartTable()
+    ids = compose(PartAction(table, left), tuple(map(table.intern, right)), *args)
+    return map(table.parts.__getitem__, ids)
+
+
+def compose_relations(r2, r1):
     """Composite relation: (v, w) holds iff some u has (v, u) in r1 and (u, w) in r2.
 
     The argument order follows the word convention in which the left operand
     is applied last, so ``compose_relations(p, s)`` reads "p after s".
 
-    ``memo``, one dict per left operand r2, maps each row of r1 already
-    composed with r2 to its result, so a distinct row is composed once;
-    without it, each call starts an empty one.  On a call's first miss, r2's
-    rows are made int masks, bit j for actor j, so that a composite row is a
-    few ORs, decoded once.
+    Inside a closure the operands come interned: r2 as its ``PartAction``
+    and r1 as a tuple of row ids, and the composite's row ids are returned.
+    The rule for one row makes r2's rows int masks, bit j for actor j, once
+    per action, so that a composite row is a few ORs, decoded once.
     """
-    r2.actors.require_same(r1.actors)
-    if memo is None:
-        memo = {}
-    masks = None
-    out = []
-    for mids in r1.out:
-        row = memo.get(mids)
-        if row is None:
-            if masks is None:
-                masks = list(map(index_mask, r2.out))
+    if not isinstance(r2, PartAction):
+        r2.actors.require_same(r1.actors)
+        return Relation._from_canonical(r1.actors, act_once(compose_relations, r2.out, r1.out))
+    if r2.rule is None:
+        masks = list(map(index_mask, r2.left))
+
+        def rule(row):
             acc = 0
-            for u in mids:
+            for u in row:
                 acc |= masks[u]
-            row = memo[mids] = mask_members(acc)
-        out.append(row)
-    return Relation._from_canonical(r1.actors, out)
+            return mask_members(acc)
+
+        r2.rule = rule
+    return tuple(map(r2.__getitem__, r1))
 
 
 def identity_relation(actors):

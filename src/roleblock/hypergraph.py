@@ -12,16 +12,19 @@ computed structures build it from indices already in range.  Everything but
 the empty tuple, is a legal hyperedge target and is distinct from an actor
 having no hyperedges.
 
-Both compositions take an optional ``memo`` dict, valid for one left operand
-and ``prune_empty`` value, that keeps the canonical result of each family of
-a right operand; ``semigroup.composition_for`` keeps one per left operand.
+Both compositions are per actor, like ``core.compose_relations``: inside a
+closure each takes the left operand as a ``core.PartAction`` on interned
+families and the right one as a tuple of family ids, and composes each
+distinct family once per left operand.
 """
 
 from itertools import chain
 
 from .core import (
     MultiStructure,
+    PartAction,
     Relation,
+    act_once,
     blockmodel_network,
     bruteforce,
     canonical_indices,
@@ -114,11 +117,16 @@ class FHyperStructure:
         # families are sorted, so an empty target is the first of its family
         return any(family and not family[0] for family in self.targets)
 
+    @staticmethod
+    def part_bits(family):
+        """What one actor's family adds to ``stored_bits``: a slot for it, one per
+        target set and one per target member."""
+        return 64 * (1 + len(family) + sum(map(len, family)))
+
     def stored_bits(self):
         """What the structure keeps, in bits: a 64-bit slot per actor, per target
         set and per target member."""
-        fams = self.targets
-        return 64 * (len(fams) + sum(map(len, fams)) + sum(map(len, chain.from_iterable(fams))))
+        return sum(map(self.part_bits, self.targets))
 
     def signature(self, i, image):
         """The images under ``image`` of i's target sets, as a frozenset of frozensets."""
@@ -264,7 +272,7 @@ def embed_relation(r):
 
 # ── the two compositions ─────────────────────────────────────────────────────
 
-def tight_compose(k, h, *, memo=None):
+def tight_compose(k, h):
     """Branch-preserving composite.
 
     (a, U) is a hyperedge iff h has some (a, V) with a member b such that
@@ -272,25 +280,30 @@ def tight_compose(k, h, *, memo=None):
     target set, so a's family is the union of k's families over the members
     of a's targets.
 
-    ``memo``, one dict per left operand k, maps each family of h already
-    composed with k to its canonical result, so a distinct family is composed
-    once; without it, each call starts an empty one.
+    Inside a closure the operands come interned: k as its ``PartAction`` and
+    h as a tuple of family ids, and the composite's family ids are returned.
+    A result depends only on the union of the family's members, so the rule
+    keeps one per union, and families with equal unions share it.
     """
-    k.actors.require_same(h.actors)
-    if memo is None:
-        memo = {}
-    ks = k.targets.__getitem__
-    fams = []
-    for family in h.targets:
-        out = memo.get(family)
-        if out is None:
-            members = set(chain.from_iterable(family))
-            out = memo[family] = tuple(sorted(set().union(*map(ks, members))))
-        fams.append(out)
-    return FHyperStructure._from_canonical(h.actors, fams)
+    if not isinstance(k, PartAction):
+        k.actors.require_same(h.actors)
+        fams = act_once(tight_compose, k.targets, h.targets)
+        return FHyperStructure._from_canonical(h.actors, fams)
+    if k.rule is None:
+        ks, unions = k.left.__getitem__, {}
+
+        def rule(family):
+            members = frozenset(chain.from_iterable(family))
+            out = unions.get(members)
+            if out is None:
+                out = unions[members] = tuple(sorted(set().union(*map(ks, members))))
+            return out
+
+        k.rule = rule
+    return tuple(map(k.__getitem__, h))
 
 
-def loose_compose(k, h, prune_empty=False, *, memo=None):
+def loose_compose(k, h, prune_empty=False):
     """Branch-merging composite.
 
     Each hyperedge (a, V) of h yields exactly one hyperedge (a, W) where W is
@@ -298,22 +311,20 @@ def loose_compose(k, h, prune_empty=False, *, memo=None):
     is empty or no member of V has k-hyperedges); the literal mode keeps such
     hyperedges, ``prune_empty`` deletes them afterwards.
 
-    ``memo``, one dict per left operand k and ``prune_empty`` value, maps
-    each family of h already composed to its canonical result, so a distinct
-    family is composed once; without it, each call starts an empty one.  On
-    a call's first miss, each actor's union of k-targets is made an int mask,
-    bit j for actor j, so that W is a few ORs, decoded once per result.
+    Inside a closure the operands come interned: k as its ``PartAction``,
+    valid for one ``prune_empty`` value, and h as a tuple of family ids, and
+    the composite's family ids are returned.  The rule for one family makes
+    each actor's union of k-targets an int mask, bit j for actor j, once per
+    action, so that W is a few ORs, decoded once per result.
     """
-    k.actors.require_same(h.actors)
-    if memo is None:
-        memo = {}
-    flat = None
-    fams = []
-    for family in h.targets:
-        out = memo.get(family)
-        if out is None:
-            if flat is None:
-                flat = [index_mask(chain.from_iterable(targets)) for targets in k.targets]
+    if not isinstance(k, PartAction):
+        k.actors.require_same(h.actors)
+        fams = act_once(loose_compose, k.targets, h.targets, prune_empty)
+        return FHyperStructure._from_canonical(h.actors, fams)
+    if k.rule is None:
+        flat = [index_mask(chain.from_iterable(targets)) for targets in k.left]
+
+        def rule(family):
             masks = set()
             for v in family:
                 w = 0
@@ -321,9 +332,10 @@ def loose_compose(k, h, prune_empty=False, *, memo=None):
                     w |= flat[b]
                 if w or not prune_empty:
                     masks.add(w)
-            out = memo[family] = tuple(sorted(map(mask_members, masks)))
-        fams.append(out)
-    return FHyperStructure._from_canonical(h.actors, fams)
+            return tuple(sorted(map(mask_members, masks)))
+
+        k.rule = rule
+    return tuple(map(k.__getitem__, h))
 
 
 def prune_empty_targets(h):

@@ -6,11 +6,19 @@ convention in which the leftmost generator name is the last one applied, so
 the word "PS" denotes P composed after S.
 """
 
-from collections import defaultdict
 from collections.abc import Sequence
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .core import MultiNetwork, block_lists, canonical_blocks, check_indices, compose_relations
+from .core import (
+    MultiNetwork,
+    PartAction,
+    PartTable,
+    Relation,
+    block_lists,
+    canonical_blocks,
+    check_indices,
+    compose_relations,
+)
 from .errors import (
     InputError,
     InvariantViolation,
@@ -18,7 +26,7 @@ from .errors import (
     StructuralError,
     WellDefinednessError,
 )
-from .hypergraph import MultiHypergraph, loose_compose, tight_compose
+from .hypergraph import FHyperStructure, MultiHypergraph, loose_compose, tight_compose
 
 DEFAULT_CAP = 10_000
 
@@ -30,28 +38,28 @@ BITS_PER_ELEMENT = 8 * 8192
 COMPOSE_KINDS = ("graph", "tight", "loose")
 
 
-def composition_for(compose_kind, prune_empty=False):
-    """A fresh binary operation ``op(k, h)`` for a composition kind.
-
-    The op hands the compose function one ``memo`` per left operand k (and
-    its fixed ``prune_empty``), so each distinct row or target family of a
-    right operand is composed with k once while the op lives.  Memos are
-    keyed by k itself: a memo depends only on k's value, so equal left
-    operands share one.  They are freed with the op, so take one op per
-    closure, whose left operands are its generators.  Two ops share no memo.
-    """
+def _check_kind(compose_kind, prune_empty):
     if compose_kind not in COMPOSE_KINDS:
         raise StructuralError(f"compose kind must be one of {COMPOSE_KINDS}, got {compose_kind!r}")
     if prune_empty and compose_kind != "loose":
         raise StructuralError("prune_empty only applies to loose composition")
-    memos = defaultdict(dict)
-    # the compose functions are looked up by module name at each call, so a
-    # wrapper set on that name sees every product
+
+
+def composition_for(compose_kind, prune_empty=False):
+    """The binary operation ``op(k, h)`` of a composition kind, on structures.
+
+    Each call composes afresh, through a fresh part action (see
+    ``core.PartAction``), by the compose function's name in this module,
+    looked up at the call, so a wrapper set on that name sees it.
+    ``role_semigroup`` does not take this op: it keeps one part action per
+    distinct generator for the whole closure and composes part ids.
+    """
+    _check_kind(compose_kind, prune_empty)
     if compose_kind == "graph":
-        return lambda k, h: compose_relations(k, h, memo=memos[k])
+        return lambda k, h: compose_relations(k, h)
     if compose_kind == "tight":
-        return lambda k, h: tight_compose(k, h, memo=memos[k])
-    return lambda k, h: loose_compose(k, h, prune_empty, memo=memos[k])
+        return lambda k, h: tight_compose(k, h)
+    return lambda k, h: loose_compose(k, h, prune_empty)
 
 
 class RoleSemigroup:
@@ -76,7 +84,8 @@ class RoleSemigroup:
     Built by ``generate_closure``, whose elements are relations or
     hyperstructures, and by ``quotient_semigroup``, whose elements are its
     classes as tuples of base indices; each hands over its finished tuples
-    and element index to be stored as given.  ``empty`` indexes the empty
+    to be stored as given, and its element index or None, for one built on
+    the first ``index_of`` call.  ``empty`` indexes the empty
     structure (or its class), None if there is none; ``absorbing`` is
     ``empty`` when that absorbs on both sides, else None.
     """
@@ -137,8 +146,12 @@ class RoleSemigroup:
         return i
 
     def index_of(self, element):
+        """Index of an element equal to ``element``; the index is built on first use."""
+        index = self._index
+        if index is None:
+            index = self._index = {x: i for i, x in enumerate(self.elements)}
         try:
-            return self._index[element]
+            return index[element]
         except KeyError:
             raise StructuralError("element is not in this semigroup") from None
 
@@ -231,7 +244,24 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     level's left edges are in, x = g*x' times generator h is g*(x'*h), a left
     edge from the right edge of the suffix x', one level back.  No Cayley
     table is built; see ``RoleSemigroup``.
+
+    ``role_semigroup`` runs the same search over interned parts: there an
+    element is a tuple of part ids, and ``compose`` maps each id through
+    the generator's part action, so the index hashes n small ints.
     """
+    return _closure(generators, compose, cap, compose_kind, prune_empty, _stored_bits, None)
+
+
+def _stored_bits(element):
+    size = getattr(element, "stored_bits", None)
+    return size() if size else 0
+
+
+def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materialise):
+    # generate_closure's search, with each element's stored bits given by
+    # ``weigh`` (None when they cannot exceed the budget); given
+    # ``materialise``, the elements are stored as it maps them, and indexed on
+    # the first ``index_of`` call
     if cap < 1:
         raise InputError(f"cap must be at least 1, got {cap}")
     generators = list(generators)
@@ -253,8 +283,8 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
             raise ResourceLimitError(
                 f"closure exceeded the cap of {cap} elements", count=len(elements)
             )
-        size = getattr(element, "stored_bits", None)
-        stored += size() if size else 0
+        if weigh is not None:
+            stored += weigh(element)
         if stored > budget:
             raise ResourceLimitError(
                 f"closure exceeded the memory budget of {budget // 8192} KiB "
@@ -314,24 +344,73 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
                 col.append(left[words[x][0]][g if rest is None else col[rest]])
         level = nxt
 
+    if materialise is not None:
+        elements, index = map(materialise, elements), None
+    elements = tuple(elements)
     empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
     return RoleSemigroup(
-        tuple(elements), tuple(words), tuple(suffix), tuple(map(tuple, left)),
+        elements, tuple(words), tuple(suffix), tuple(map(tuple, left)),
         tuple(map(tuple, right)), index, names, generator_elements, compose_kind, prune_empty, empty,
     )
 
 
+class _Generator(tuple):
+    """A generator of a closure over interned parts: its part ids, and in
+    ``action`` its ``PartAction``, which equal generators share."""
+
+
+# per compose kind: the network type it closes, its structure type, and the
+# attribute that holds a structure's parts
+_STRUCTURES = {
+    "graph": (MultiNetwork, Relation, attrgetter("out")),
+    "tight": (MultiHypergraph, FHyperStructure, attrgetter("targets")),
+    "loose": (MultiHypergraph, FHyperStructure, attrgetter("targets")),
+}
+
+
 def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
-    """Generate the role semigroup of a multirelational network or hypergraph."""
-    op = composition_for(compose_kind, prune_empty)
-    if compose_kind == "graph":
-        if not isinstance(net, MultiNetwork):
+    """Generate the role semigroup of a multirelational network or hypergraph.
+
+    The closure runs over interned parts.  Each distinct row or target
+    family it reaches is interned once in a ``PartTable``, each element is
+    searched as the tuple of its actors' part ids, and each distinct
+    generator acts on part ids through its ``PartAction``: a product maps n
+    ids and is found by hashing them.  Each reduced product is one call of
+    the kind's compose function, through its name in this module.  The
+    memory budget sums each element's ``stored_bits()`` from bits cached per
+    part.  The elements are then built as ``Relation``s or
+    ``FHyperStructure``s that share the table's part tuples.
+    """
+    _check_kind(compose_kind, prune_empty)
+    net_type, structure, parts_of = _STRUCTURES[compose_kind]
+    if not isinstance(net, net_type):
+        if compose_kind == "graph":
             raise StructuralError("graph composition needs a graph network")
+        raise StructuralError(f"{compose_kind} composition needs an F-hypergraph network")
+    # the compose functions are looked up by module name at each call, so a
+    # wrapper set on that name sees every product
+    if compose_kind == "graph":
+        op = lambda g, x: compose_relations(g.action, x)
+    elif compose_kind == "tight":
+        op = lambda g, x: tight_compose(g.action, x)
     else:
-        if not isinstance(net, MultiHypergraph):
-            raise StructuralError(f"{compose_kind} composition needs an F-hypergraph network")
-    return generate_closure(
-        list(net.relations.items()), op, cap=cap, compose_kind=compose_kind, prune_empty=prune_empty
+        op = lambda g, x: loose_compose(g.action, x, prune_empty)
+    table = PartTable(structure.part_bits)
+    actions, generators = {}, []
+    for name, g in net.relations.items():
+        ids = _Generator(map(table.intern, parts_of(g)))
+        ids.action = actions.setdefault(ids, PartAction(table, parts_of(g)))
+        generators.append((name, ids))
+    bits, parts, actors = table.bits, table.parts, net.actors
+    n = len(actors)
+    # a relation on n actors keeps at most n * (n + 1) slots, so for n up to
+    # 31 the cap is always met before the budget, and no element is weighed
+    weigh = lambda x: sum(map(bits.__getitem__, x))
+    if compose_kind == "graph" and 64 * n * (n + 1) <= BITS_PER_ELEMENT:
+        weigh = None
+    return _closure(
+        generators, op, cap, compose_kind, prune_empty, weigh,
+        lambda x: structure._from_canonical(actors, _pick(parts, x)),
     )
 
 
@@ -560,7 +639,7 @@ def quotient_semigroup(s, congruence):
     # or earlier word for that class would give one for the member too
     suffix = tuple(None if s.suffix[r] is None else b[s.suffix[r]] for r in reps)
     q = RoleSemigroup(
-        classes, _pick(s.words, reps), suffix, left, right, {c: i for i, c in enumerate(classes)},
+        classes, _pick(s.words, reps), suffix, left, right, None,
         s.generator_names, _pick(b, s.generator_elements), s.compose_kind, s.prune_empty,
         None if s.empty is None else b[s.empty],
     )

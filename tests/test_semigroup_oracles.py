@@ -35,6 +35,7 @@ from helpers import (
     random_network,
     random_partition,
     random_relation,
+    tight_oracle,
 )
 from roleblock import (
     ActorSet,
@@ -67,6 +68,7 @@ from roleblock import (
     tight_compose,
 )
 from roleblock.cli import main
+from roleblock.core import PartAction, PartTable
 from roleblock.fixtures import family_three, parent_grandparent_hyper
 from roleblock.semigroup import composition_for
 
@@ -351,7 +353,7 @@ def test_right_graph_and_products_equal_compose(compose_kind, prune_empty, rng, 
         assert s.product(i, j) == s.index_of(compose(s.elements[i], s.elements[j]))
 
 
-# the memo-free compose of each kind: a fresh memo per call
+# the public compose of each kind: a fresh part action per call
 MEMO_FREE = {
     ("graph", False): compose_relations,
     ("tight", False): tight_compose,
@@ -364,11 +366,16 @@ MEMO_FREE = {
 TRACED_NAMES = {"graph": "compose_relations", "tight": "tight_compose", "loose": "loose_compose"}
 
 
-def rebuilt(x, acts):
-    """A new structure on ``acts`` with x's rows or target families."""
+def parts_of(x):
+    """x's rows or target families."""
+    return x.out if isinstance(x, Relation) else x.targets
+
+
+def rebuilt(x, acts, parts=None):
+    """A new structure on ``acts`` with x's rows or target families, or ``parts``."""
     if isinstance(x, Relation):
-        return Relation(acts, x.out)
-    return FHyperStructure(acts, x.targets)
+        return Relation(acts, x.out if parts is None else parts)
+    return FHyperStructure(acts, x.targets if parts is None else parts)
 
 
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
@@ -377,53 +384,82 @@ def rebuilt(x, acts):
 def test_memoized_compose_equals_memo_free_compose_and_oracle(
     compose_kind, prune_empty, rng, duplicate
 ):
-    # the calls reuse and interleave left operands, so most read a memo that
-    # earlier calls warmed; a duplicate generator comes as the same object
-    # and as an equal copy, which shares the memo of the first
+    # products through part actions over one table, one action per distinct
+    # left operand, as a closure keeps them: the calls reuse and interleave
+    # left operands, so most read entries that earlier calls filled; a
+    # duplicate generator comes as the same object and as an equal copy,
+    # which shares the action of the first
     generators = [g for _, g in random_generators(rng, compose_kind, duplicate)]
     acts = generators[0].actors
     if duplicate:
         generators.append(rebuilt(rng.choice(generators), acts))
-    op = composition_for(compose_kind, prune_empty)
+    compose = getattr(semigroup, TRACED_NAMES[compose_kind])
+    args = (prune_empty,) if compose_kind == "loose" else ()
     kind = compose_kind, prune_empty
     plain, oracle = MEMO_FREE[kind], COMPOSE_ORACLES[kind]
+    table, actions = PartTable(), {}
+
+    def ids(x):
+        return tuple(map(table.intern, parts_of(x)))
+
     pool = list(generators)
     for _ in range(30):
         k = rng.choice(generators if rng.random() < 0.8 else pool)
         h = rng.choice(pool)
-        got = op(k, h)
+        action = actions.setdefault(ids(k), PartAction(table, parts_of(k)))
+        got = rebuilt(h, acts, [table.parts[i] for i in compose(action, ids(h), *args)])
         assert got == plain(k, h) == oracle(k, h)
         pool.append(got)
-    # k's memo holds every part of h, yet the same parts on another roster
-    # are refused
+    # the public compose refuses the same parts on another roster
     other = ActorSet([f"w{i}" for i in range(len(acts))])
     with pytest.raises(StructuralError):
-        op(k, rebuilt(h, other))
+        plain(k, rebuilt(h, other))
 
 
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
-def test_ops_share_no_memo(compose_kind, prune_empty, monkeypatch):
-    # every entry the first op stored for k is replaced by a wrong result:
-    # the first op then reads it, a second op does not
+def test_closures_share_no_part_action(compose_kind, prune_empty, monkeypatch):
+    # every entry of the first closure's actions is made wrong once it ends:
+    # a second closure of the same network still equals the first
     name = TRACED_NAMES[compose_kind]
-    compose, memos = getattr(semigroup, name), []
+    compose, actions = getattr(semigroup, name), []
 
-    def spy(*args, memo):
-        memos.append(memo)
-        return compose(*args, memo=memo)
+    def spy(action, *args):
+        actions.append(action)
+        return compose(action, *args)
 
     monkeypatch.setattr(semigroup, name, spy)
     net = family_three() if compose_kind == "graph" else parent_grandparent_hyper()
-    gens = list(net.relations.values())
-    k, h = gens[0], gens[-1]
-    first, second = (composition_for(compose_kind, prune_empty) for _ in range(2))
-    expected = first(k, h)
-    memo = memos[-1]
-    for part, result in memo.items():
-        memo[part] = result ^ 1 if isinstance(result, int) else (() if result else (0,))
-    assert first(k, h) != expected
-    assert second(k, h) == expected == MEMO_FREE[compose_kind, prune_empty](k, h)
-    assert memos[-1] is not memo
+    first = role_semigroup(net, compose_kind, prune_empty)
+    used = len(actions)
+    assert used and all(isinstance(a, PartAction) for a in actions)
+    for action in actions:
+        for part in action:
+            action[part] = 0
+    second = role_semigroup(net, compose_kind, prune_empty)
+    assert (second.elements, second.words) == (first.elements, first.words)
+    assert not {id(a) for a in actions[:used]} & {id(a) for a in actions[used:]}
+
+
+def test_tight_action_composes_each_member_union_once():
+    # h's first two families have the member union {0, 1}: k's families of
+    # 0 and 1 are read once between them, then once more for {2}
+    acts = actors(3)
+    k = FHyperStructure(acts, [[(1,)], [(2,), (0, 1)], [(0, 2)]])
+    h = FHyperStructure(acts, [[(0, 1)], [(0,), (1,)], [(2,)]])
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    table = PartTable()
+    action = PartAction(table, Counted(k.targets))
+    got = tight_compose(action, tuple(map(table.intern, h.targets)))
+    assert sorted(reads) == [0, 1, 2]
+    assert got[0] == got[1]
+    assert [table.parts[i] for i in got] == list(tight_oracle(k, h).targets)
+    assert tight_compose(k, h) == tight_oracle(k, h)
 
 
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
@@ -495,6 +531,82 @@ def test_resource_exits_equal_naive_closure(net):
             if isinstance(result, ResourceLimitError):
                 exits.add(str(result).split(" of ")[0])
     assert exits == {"closure exceeded the cap", "closure exceeded the memory budget"}
+
+
+def dense_network(compose_kind, n):
+    """Three structures on n actors, the first keeping more than 1,024 slots
+    of 64 bits from n = 32 on: everything (all pairs, or each actor's one
+    target set of all actors), all but each actor itself, and a shift."""
+    acts = actors(n)
+    rest = [[j for j in range(n) if j != i] for i in range(n)]
+    shift = [[(i + 1) % n] for i in range(n)]
+    if compose_kind == "graph":
+        parts = [[range(n)] * n, rest, shift]
+        return MultiNetwork(acts, [(name, Relation(acts, p)) for name, p in zip("FDS", parts)])
+    parts = [[[range(n)]] * n, [[r] for r in rest], [[s] for s in shift]]
+    return MultiHypergraph(acts, [(name, FHyperStructure(acts, p)) for name, p in zip("FDS", parts)])
+
+
+@pytest.mark.parametrize("compose_kind,n", [("graph", 31), ("graph", 32), ("tight", 32)])
+def test_role_semigroup_resource_exits_equal_naive_closure(compose_kind, n):
+    # role_semigroup weighs elements by their parts' cached bits (not at all
+    # for relations on at most 31 actors, which cannot exceed the budget): the
+    # same exit, count and message as the structures' own stored_bits() give
+    net = dense_network(compose_kind, n)
+    generators = list(net.relations.items())
+    op = composition_for(compose_kind)
+    size = len(naive_closure(generators, op, DEFAULT_CAP)[0])
+    exits = set()
+    for cap in range(1, size + 1):
+        try:
+            expected, _ = naive_closure(generators, op, cap)
+        except ResourceLimitError as err:
+            with pytest.raises(ResourceLimitError) as got:
+                role_semigroup(net, compose_kind, cap=cap)
+            assert (got.value.count, str(got.value)) == (err.count, str(err))
+            exits.add(str(err).split(" of ")[0])
+        else:
+            s = role_semigroup(net, compose_kind, cap=cap)
+            assert (s.elements, s.words) == (expected.elements, expected.words)
+    budget = {"closure exceeded the memory budget"} if n > 31 else set()
+    assert exits == {"closure exceeded the cap"} | budget
+
+
+def changed_parts(x, a):
+    """x's parts with actor a's part changed: actor 0 toggled in a row, or
+    the target set (0,) toggled in a family."""
+    parts = list(parts_of(x))
+    part = set(parts[a])
+    part ^= {0} if isinstance(x, Relation) else {(0,)}
+    parts[a] = sorted(part)
+    return parts
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_index_of_equals_a_scan_and_elements_share_parts(compose_kind, prune_empty, rng):
+    net = random_net(rng, compose_kind)
+    s = closure(net, compose_kind, prune_empty)
+    acts = net.actors
+    other = ActorSet([f"w{i}" for i in range(len(acts))])
+    shared = {}
+    for i, x in enumerate(s.elements):
+        # a separately built equal structure is found; one on another roster is not
+        assert s.index_of(rebuilt(x, acts)) == i
+        with pytest.raises(StructuralError):
+            s.index_of(rebuilt(x, other))
+        # a structure one part away is found exactly when a scan finds it
+        y = rebuilt(x, acts, changed_parts(x, rng.randrange(len(acts))))
+        found = [j for j, z in enumerate(s.elements) if z == y]
+        if found:
+            assert s.index_of(y) == found[0]
+        else:
+            with pytest.raises(StructuralError):
+                s.index_of(y)
+        # equal parts are one tuple object
+        for part in parts_of(x):
+            assert shared.setdefault(part, part) is part
 
 
 @pytest.mark.parametrize(
