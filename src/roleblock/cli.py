@@ -46,6 +46,7 @@ from .reduction import (
     yes_no,
 )
 from .semigroup import (
+    COMPOSE_KINDS,
     DEFAULT_CAP,
     find_identity,
     generator_induced_hom,
@@ -253,7 +254,7 @@ def _cmd_oracle(args):
 # ── parser ───────────────────────────────────────────────────────────────────
 
 def _add_compose_options(sub):
-    sub.add_argument("--compose", required=True, choices=["graph", "tight", "loose"])
+    sub.add_argument("--compose", required=True, choices=COMPOSE_KINDS)
     sub.add_argument("--prune-empty", action="store_true",
                      help="drop empty-target hyperedges after each loose composite")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,

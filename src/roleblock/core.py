@@ -192,7 +192,12 @@ class Relation:
         return not any(self.out)
 
     def transpose(self):
-        return Relation._from_canonical(self.actors, _turned_round(self.out))
+        """The converse relation, each actor's in-neighbours read as its row."""
+        into = [[] for _ in self.out]
+        for v, row in enumerate(self.out):
+            for u in row:
+                into[u].append(v)
+        return Relation._from_canonical(self.actors, map(tuple, into))
 
     def has(self, i, j):
         return j in self.out[i]
@@ -244,42 +249,6 @@ class Relation:
 
     def __repr__(self):
         return f"Relation({sorted(self.label_pairs())!r})"
-
-
-def _turned_round(out):
-    """The lists ``out`` describes, read backwards: each index's sources, in index order."""
-    into = [[] for _ in out]
-    for v, row in enumerate(out):
-        for u in row:
-            into[u].append(v)
-    return tuple(map(tuple, into))
-
-
-class Converse:
-    """A relation read backwards: i's signature is the images of its in-neighbours.
-
-    It is a structure like any other (``actors``, ``signature``, ``support``,
-    ``successors``), read from the relation's out-lists turned round once; no
-    transposed relation is built.
-    """
-
-    __slots__ = ("actors", "_into")
-
-    def __init__(self, r):
-        self.actors = r.actors
-        self._into = _turned_round(r.out)
-
-    def signature(self, i, image):
-        """The images of i's in-neighbours under ``image``."""
-        return frozenset(map(image.__getitem__, self._into[i]))
-
-    def support(self, i):
-        """The actors that i's signature reads: its in-neighbours, in index order."""
-        return self._into[i]
-
-    def successors(self, nodes):
-        """Each actor's in-neighbours as an index tuple; like a relation, it adds no nodes."""
-        return self._into
 
 
 class Partition:
@@ -403,13 +372,13 @@ class MultiNetwork(MultiStructure):
     __slots__ = ()
 
     def views(self, mode="both"):
-        """The relations ("out"), their converses ("in") or both, each converse built lazily."""
+        """The relations ("out"), their transposes ("in") or both, each transpose built lazily."""
         if mode not in MODES:
             raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
         rels = self.relations.values()
         return chain(
             rels if mode != "in" else (),
-            map(Converse, rels) if mode != "out" else (),
+            map(Relation.transpose, rels) if mode != "out" else (),
         )
 
 
@@ -456,20 +425,19 @@ class PartAction(dict):
     """A left operand's action on the parts of a ``PartTable``: part id -> part id.
 
     Every composition is per actor: actor a's part of k after h depends only
-    on k and on a's part of h.  ``left`` holds k's parts, one per actor.  The
-    compose function of k's kind sets ``rule``, its one-part rule for k, on
-    its first call; an id not yet in the action is filled on first sight by
-    that rule, its result interned.  An action is valid for one compose kind
-    (and ``prune_empty`` value).
+    on k and on a's part of h.  ``rule`` maps one part of h to that part of
+    the composite; the rule makers ``row_rule``, ``hypergraph.tight_rule``
+    and ``hypergraph.loose_rule`` build it from k's parts, so an action acts
+    for one compose kind (and ``prune_empty`` value).  An id not yet in the
+    action is filled on first sight by the rule, its result interned.
     """
 
-    __slots__ = ("table", "left", "rule")
+    __slots__ = ("table", "rule")
 
-    def __init__(self, table, left):
+    def __init__(self, table, rule):
         super().__init__()
         self.table = table
-        self.left = left
-        self.rule = None
+        self.rule = rule
 
     def __missing__(self, i):
         table = self.table
@@ -477,12 +445,21 @@ class PartAction(dict):
         return j
 
 
-def act_once(compose, left, right, *args):
-    """The parts of the composite of a left operand with parts ``left`` after a
-    right one with parts ``right``: ``compose``'s action over a fresh table."""
-    table = PartTable()
-    ids = compose(PartAction(table, left), tuple(map(table.intern, right)), *args)
-    return map(table.parts.__getitem__, ids)
+def row_rule(rows):
+    """The one-row rule of composing after a relation with rows ``rows``.
+
+    A row maps to the union of its members' rows, each made an int mask, bit
+    j for actor j, once, so that a composite row is a few ORs, decoded once.
+    """
+    masks = list(map(index_mask, rows))
+
+    def rule(row):
+        acc = 0
+        for u in row:
+            acc |= masks[u]
+        return mask_members(acc)
+
+    return rule
 
 
 def compose_relations(r2, r1):
@@ -493,23 +470,11 @@ def compose_relations(r2, r1):
 
     Inside a closure the operands come interned: r2 as its ``PartAction``
     and r1 as a tuple of row ids, and the composite's row ids are returned.
-    The rule for one row makes r2's rows int masks, bit j for actor j, once
-    per action, so that a composite row is a few ORs, decoded once.
     """
-    if not isinstance(r2, PartAction):
-        r2.actors.require_same(r1.actors)
-        return Relation._from_canonical(r1.actors, act_once(compose_relations, r2.out, r1.out))
-    if r2.rule is None:
-        masks = list(map(index_mask, r2.left))
-
-        def rule(row):
-            acc = 0
-            for u in row:
-                acc |= masks[u]
-            return mask_members(acc)
-
-        r2.rule = rule
-    return tuple(map(r2.__getitem__, r1))
+    if isinstance(r2, PartAction):
+        return tuple(map(r2.__getitem__, r1))
+    r2.actors.require_same(r1.actors)
+    return Relation._from_canonical(r1.actors, map(row_rule(r2.out), r1.out))
 
 
 def identity_relation(actors):
@@ -582,7 +547,7 @@ def is_outward_regular(r, e):
 
 def is_inward_regular(r, e):
     """Mirror of the outward check with every edge reversed."""
-    return signatures_agree([Converse(r)], e)
+    return signatures_agree([r.transpose()], e)
 
 
 def is_regular(r, e):
@@ -607,7 +572,7 @@ def _predecessors(structures, actors):
     Edge u -> v with label l is the entry l * N + u of ``pred[v]``, for N
     nodes in all, or ~(l * N + u) when it is u's only edge with label l.
     Returns ``pred``, N and the number of labels.  No structure is kept, so
-    a converse made by ``views`` is freed before the refinement rounds start.
+    a transpose made by ``views`` is freed before the refinement rounds start.
     """
     nodes = {}
     lists = []

@@ -12,10 +12,10 @@ computed structures build it from indices already in range.  Everything but
 the empty tuple, is a legal hyperedge target and is distinct from an actor
 having no hyperedges.
 
-Both compositions are per actor, like ``core.compose_relations``: inside a
-closure each takes the left operand as a ``core.PartAction`` on interned
-families and the right one as a tuple of family ids, and composes each
-distinct family once per left operand.
+Both compositions are per actor, like ``core.compose_relations``: the left
+operand's rule for one family (``tight_rule``, ``loose_rule``) maps each
+family of the right one.  Inside a closure a ``core.PartAction`` keeps that
+rule and applies it once per distinct family id.
 """
 
 from itertools import chain
@@ -24,7 +24,6 @@ from .core import (
     MultiStructure,
     PartAction,
     Relation,
-    act_once,
     blockmodel_network,
     bruteforce,
     canonical_indices,
@@ -272,6 +271,24 @@ def embed_relation(r):
 
 # ── the two compositions ─────────────────────────────────────────────────────
 
+def tight_rule(families):
+    """The one-family rule of tight composition after k, whose families are ``families``.
+
+    A result depends only on the union of the family's members, so the rule
+    keeps one per union, and families with equal unions share it.
+    """
+    ks, unions = families.__getitem__, {}
+
+    def rule(family):
+        members = frozenset(chain.from_iterable(family))
+        out = unions.get(members)
+        if out is None:
+            out = unions[members] = tuple(sorted(set().union(*map(ks, members))))
+        return out
+
+    return rule
+
+
 def tight_compose(k, h):
     """Branch-preserving composite.
 
@@ -282,25 +299,32 @@ def tight_compose(k, h):
 
     Inside a closure the operands come interned: k as its ``PartAction`` and
     h as a tuple of family ids, and the composite's family ids are returned.
-    A result depends only on the union of the family's members, so the rule
-    keeps one per union, and families with equal unions share it.
     """
-    if not isinstance(k, PartAction):
-        k.actors.require_same(h.actors)
-        fams = act_once(tight_compose, k.targets, h.targets)
-        return FHyperStructure._from_canonical(h.actors, fams)
-    if k.rule is None:
-        ks, unions = k.left.__getitem__, {}
+    if isinstance(k, PartAction):
+        return tuple(map(k.__getitem__, h))
+    k.actors.require_same(h.actors)
+    return FHyperStructure._from_canonical(h.actors, map(tight_rule(k.targets), h.targets))
 
-        def rule(family):
-            members = frozenset(chain.from_iterable(family))
-            out = unions.get(members)
-            if out is None:
-                out = unions[members] = tuple(sorted(set().union(*map(ks, members))))
-            return out
 
-        k.rule = rule
-    return tuple(map(k.__getitem__, h))
+def loose_rule(families, prune_empty=False):
+    """The one-family rule of loose composition after k, whose families are ``families``.
+
+    Each actor's union of k-targets is made an int mask, bit j for actor j,
+    once, so that each W is a few ORs, decoded once per result.
+    """
+    flat = [index_mask(chain.from_iterable(targets)) for targets in families]
+
+    def rule(family):
+        masks = set()
+        for v in family:
+            w = 0
+            for b in v:
+                w |= flat[b]
+            if w or not prune_empty:
+                masks.add(w)
+        return tuple(sorted(map(mask_members, masks)))
+
+    return rule
 
 
 def loose_compose(k, h, prune_empty=False):
@@ -312,30 +336,14 @@ def loose_compose(k, h, prune_empty=False):
     hyperedges, ``prune_empty`` deletes them afterwards.
 
     Inside a closure the operands come interned: k as its ``PartAction``,
-    valid for one ``prune_empty`` value, and h as a tuple of family ids, and
-    the composite's family ids are returned.  The rule for one family makes
-    each actor's union of k-targets an int mask, bit j for actor j, once per
-    action, so that W is a few ORs, decoded once per result.
+    whose rule fixes ``prune_empty``, and h as a tuple of family ids, and the
+    composite's family ids are returned.
     """
-    if not isinstance(k, PartAction):
-        k.actors.require_same(h.actors)
-        fams = act_once(loose_compose, k.targets, h.targets, prune_empty)
-        return FHyperStructure._from_canonical(h.actors, fams)
-    if k.rule is None:
-        flat = [index_mask(chain.from_iterable(targets)) for targets in k.left]
-
-        def rule(family):
-            masks = set()
-            for v in family:
-                w = 0
-                for b in v:
-                    w |= flat[b]
-                if w or not prune_empty:
-                    masks.add(w)
-            return tuple(sorted(map(mask_members, masks)))
-
-        k.rule = rule
-    return tuple(map(k.__getitem__, h))
+    if isinstance(k, PartAction):
+        return tuple(map(k.__getitem__, h))
+    k.actors.require_same(h.actors)
+    fams = map(loose_rule(k.targets, prune_empty), h.targets)
+    return FHyperStructure._from_canonical(h.actors, fams)
 
 
 def prune_empty_targets(h):

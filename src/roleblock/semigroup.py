@@ -7,6 +7,7 @@ the word "PS" denotes P composed after S.
 """
 
 from collections.abc import Sequence
+from functools import partial
 from operator import attrgetter, itemgetter
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     canonical_blocks,
     check_indices,
     compose_relations,
+    row_rule,
 )
 from .errors import (
     InputError,
@@ -27,6 +29,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .hypergraph import FHyperStructure, MultiHypergraph, loose_compose, tight_compose
+from .hypergraph import loose_rule, tight_rule
 
 DEFAULT_CAP = 10_000
 
@@ -35,26 +38,30 @@ DEFAULT_CAP = 10_000
 # for 1,024 index slots of 64 bits, so about 78 MiB at the default cap.
 BITS_PER_ELEMENT = 8 * 8192
 
-COMPOSE_KINDS = ("graph", "tight", "loose")
+# per compose kind: the network type it closes, its structure type, the
+# attribute that holds a structure's parts, and the maker of its one-part rule
+_KINDS = {
+    "graph": (MultiNetwork, Relation, attrgetter("out"), row_rule),
+    "tight": (MultiHypergraph, FHyperStructure, attrgetter("targets"), tight_rule),
+    "loose": (MultiHypergraph, FHyperStructure, attrgetter("targets"), loose_rule),
+}
+
+COMPOSE_KINDS = tuple(_KINDS)
 
 
-def _check_kind(compose_kind, prune_empty):
+def composition_for(compose_kind, prune_empty=False):
+    """The binary operation ``op(k, h)`` of a composition kind.
+
+    Each call goes through the compose function's name in this module,
+    looked up at the call, so a wrapper set on that name sees it.  On two
+    structures a call composes afresh with the kind's one-part rule;
+    ``role_semigroup`` passes k as a ``core.PartAction`` that keeps the rule
+    and its results for the whole closure, and h as a tuple of part ids.
+    """
     if compose_kind not in COMPOSE_KINDS:
         raise StructuralError(f"compose kind must be one of {COMPOSE_KINDS}, got {compose_kind!r}")
     if prune_empty and compose_kind != "loose":
         raise StructuralError("prune_empty only applies to loose composition")
-
-
-def composition_for(compose_kind, prune_empty=False):
-    """The binary operation ``op(k, h)`` of a composition kind, on structures.
-
-    Each call composes afresh, through a fresh part action (see
-    ``core.PartAction``), by the compose function's name in this module,
-    looked up at the call, so a wrapper set on that name sees it.
-    ``role_semigroup`` does not take this op: it keeps one part action per
-    distinct generator for the whole closure and composes part ids.
-    """
-    _check_kind(compose_kind, prune_empty)
     if compose_kind == "graph":
         return lambda k, h: compose_relations(k, h)
     if compose_kind == "tight":
@@ -246,10 +253,13 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     table is built; see ``RoleSemigroup``.
 
     ``role_semigroup`` runs the same search over interned parts: there an
-    element is a tuple of part ids, and ``compose`` maps each id through
-    the generator's part action, so the index hashes n small ints.
+    element is a tuple of part ids, and a product maps each id through the
+    generator's part action, so the index hashes n small ints.
     """
-    return _closure(generators, compose, cap, compose_kind, prune_empty, _stored_bits, None)
+    generators = list(generators)
+    gens = [g for _, g in generators]
+    op = lambda i, x: compose(gens[i], x)
+    return _closure(generators, op, cap, compose_kind, prune_empty, _stored_bits, None)
 
 
 def _stored_bits(element):
@@ -258,13 +268,12 @@ def _stored_bits(element):
 
 
 def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materialise):
-    # generate_closure's search, with each element's stored bits given by
-    # ``weigh`` (None when they cannot exceed the budget); given
-    # ``materialise``, the elements are stored as it maps them, and indexed on
-    # the first ``index_of`` call
+    # generate_closure's search, with ``compose(i, x)`` composing generator i
+    # after x and each element's stored bits given by ``weigh`` (None when
+    # they cannot exceed the budget); given ``materialise``, the elements are
+    # stored as it maps them, and indexed on the first ``index_of`` call
     if cap < 1:
         raise InputError(f"cap must be at least 1, got {cap}")
-    generators = list(generators)
     if not generators:
         raise InputError("at least one generator is required")
     names = tuple(name for name, _ in generators)
@@ -314,8 +323,7 @@ def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materia
 
     while level:
         nxt = []
-        for i, g in enumerate(gens):
-            row = left[i]
+        for i, row in enumerate(left):
             for x in level:
                 p = prefix[x]
                 if p is not None:
@@ -329,7 +337,7 @@ def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materia
                         z = generator_elements[h] if rest is None else right[h][rest]
                         row.append(left[words[y][0]][z])
                         continue
-                product = compose(g, elements[x])
+                product = compose(i, elements[x])
                 idx = index.get(product)
                 if idx is None:
                     idx = admit(product, (i,) + words[x], x)
@@ -354,20 +362,6 @@ def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materia
     )
 
 
-class _Generator(tuple):
-    """A generator of a closure over interned parts: its part ids, and in
-    ``action`` its ``PartAction``, which equal generators share."""
-
-
-# per compose kind: the network type it closes, its structure type, and the
-# attribute that holds a structure's parts
-_STRUCTURES = {
-    "graph": (MultiNetwork, Relation, attrgetter("out")),
-    "tight": (MultiHypergraph, FHyperStructure, attrgetter("targets")),
-    "loose": (MultiHypergraph, FHyperStructure, attrgetter("targets")),
-}
-
-
 def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     """Generate the role semigroup of a multirelational network or hypergraph.
 
@@ -381,26 +375,22 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     part.  The elements are then built as ``Relation``s or
     ``FHyperStructure``s that share the table's part tuples.
     """
-    _check_kind(compose_kind, prune_empty)
-    net_type, structure, parts_of = _STRUCTURES[compose_kind]
+    op = composition_for(compose_kind, prune_empty)
+    net_type, structure, parts_of, make_rule = _KINDS[compose_kind]
     if not isinstance(net, net_type):
         if compose_kind == "graph":
             raise StructuralError("graph composition needs a graph network")
         raise StructuralError(f"{compose_kind} composition needs an F-hypergraph network")
-    # the compose functions are looked up by module name at each call, so a
-    # wrapper set on that name sees every product
-    if compose_kind == "graph":
-        op = lambda g, x: compose_relations(g.action, x)
-    elif compose_kind == "tight":
-        op = lambda g, x: tight_compose(g.action, x)
-    else:
-        op = lambda g, x: loose_compose(g.action, x, prune_empty)
+    if prune_empty:
+        make_rule = partial(make_rule, prune_empty=True)
     table = PartTable(structure.part_bits)
-    actions, generators = {}, []
+    by_ids, generators = {}, []
     for name, g in net.relations.items():
-        ids = _Generator(map(table.intern, parts_of(g)))
-        ids.action = actions.setdefault(ids, PartAction(table, parts_of(g)))
+        ids = tuple(map(table.intern, parts_of(g)))
+        if ids not in by_ids:
+            by_ids[ids] = PartAction(table, make_rule(parts_of(g)))
         generators.append((name, ids))
+    actions = [by_ids[ids] for _, ids in generators]
     bits, parts, actors = table.bits, table.parts, net.actors
     n = len(actors)
     # a relation on n actors keeps at most n * (n + 1) slots, so for n up to
@@ -409,7 +399,7 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     if compose_kind == "graph" and 64 * n * (n + 1) <= BITS_PER_ELEMENT:
         weigh = None
     return _closure(
-        generators, op, cap, compose_kind, prune_empty, weigh,
+        generators, lambda i, x: op(actions[i], x), cap, compose_kind, prune_empty, weigh,
         lambda x: structure._from_canonical(actors, _pick(parts, x)),
     )
 

@@ -46,7 +46,6 @@ from roleblock import (
     prune_empty_targets,
     tight_compose,
 )
-from roleblock.core import Converse
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -180,12 +179,12 @@ def test_relation_views_match_the_pairs(job):
     assert r.is_empty == (not distinct)
     nodes = {}
     assert list(r.successors(nodes)) == out and not nodes
-    assert list(Converse(r).successors(nodes)) == into and not nodes
+    assert list(r.transpose().successors(nodes)) == into and not nodes
     for a in range(n):
         assert r.support(a) == out[a]
         assert r.signature(a, img) == frozenset(img[j] for j in out[a])
-        assert Converse(r).support(a) == into[a]
-        assert Converse(r).signature(a, img) == frozenset(img[i] for i in into[a])
+        assert r.transpose().support(a) == into[a]
+        assert r.transpose().signature(a, img) == frozenset(img[i] for i in into[a])
         assert [r.has(a, j) for j in range(n)] == [(a, j) in distinct for j in range(n)]
     assert list(r.transpose().pairs()) == sorted((j, i) for i, j in distinct)
     target = actors(max(img, default=-1) + 1, "b")
@@ -214,7 +213,7 @@ def test_relation_range_errors_match_the_pairs(job):
 
 
 MASK_HELPERS = {"index_mask", "mask_members"}
-MASK_BUILDERS = MASK_HELPERS | {"compose_relations", "bruteforce", "loose_compose"}
+MASK_BUILDERS = MASK_HELPERS | {"row_rule", "bruteforce", "loose_rule"}
 
 
 def test_masks_are_built_only_inside_composition_and_the_oracle():

