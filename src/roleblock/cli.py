@@ -238,11 +238,11 @@ def _cmd_convert(args):
 
 def _cmd_oracle(args):
     net = _load_multirelational(args.network)
+    mode = _resolve_mode(args.mode, net)
     if args.what == "partitions":
         for e in enumerate_partitions(net.actors):
             print(json.dumps(documents.partition_to_doc(e), sort_keys=True))
         return 0
-    mode = _resolve_mode(args.mode, net)
     if isinstance(net, MultiNetwork):
         e = coarsest_regular_bruteforce(net, mode=mode)
     else:

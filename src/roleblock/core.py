@@ -1,12 +1,12 @@
 """Actors, binary relations, partitions, and regular-equivalence machinery.
 
-A relation is stored as one sorted tuple of distinct out-neighbour indices
-per actor, O(n + m) for n actors and m pairs, which signatures, supports,
-refinement's edge view and pushforwards read as they are, and which the
-constructors build through ``canonical_indices``.  Int masks, bit j for actor
-j, are built only inside composition, where a role semigroup's small roster
-makes a row a machine word or two and a composite a few ORs, and by the
-brute-force oracle, which is capped at a few actors.
+A relation is a ``Structure`` whose part, one per actor, is a sorted tuple
+of distinct out-neighbour indices, O(n + m) for n actors and m pairs, which
+signatures, supports, refinement's edge view and pushforwards read as they
+are, and which the constructors build through ``canonical_indices``.  Int
+masks, bit j for actor j, are built only inside composition, where a role
+semigroup's small roster makes a row a machine word or two and a composite a
+few ORs, and by the brute-force oracle, which is capped at a few actors.
 Everything in this module is an immutable value: operations return fresh
 objects and never mutate their inputs.
 """
@@ -137,31 +137,76 @@ class ActorSet:
             raise StructuralError("operands live on different actor sets")
 
 
-class Relation:
+class Structure:
+    """One part per actor of an ActorSet, a coalgebra X -> F(X): ``parts[i]`` is i's part.
+
+    A part is a row for a ``Relation`` and a family of target sets for an
+    ``FHyperStructure``.  A subclass names parts with ``_noun``, makes one
+    canonical with ``_canonical_part(part, n)`` and weighs one with ``part_bits``.
+    """
+
+    __slots__ = ("actors", "parts", "_hash")
+
+    def __init__(self, actors, parts):
+        parts = tuple(parts)
+        n = len(actors)
+        if len(parts) != n:
+            raise StructuralError(f"expected {n} {self._noun}, got {len(parts)}")
+        self.actors = actors
+        self.parts = tuple(self._canonical_part(part, n) for part in parts)
+        self._hash = None
+
+    @classmethod
+    def _from_canonical(cls, actors, parts):
+        """Build from one part per actor, each already in the form ``_canonical_part`` gives."""
+        s = cls.__new__(cls)
+        s.actors = actors
+        s.parts = tuple(parts)
+        s._hash = None
+        return s
+
+    @property
+    def is_empty(self):
+        return not any(self.parts)
+
+    def stored_bits(self):
+        """What the structure keeps, in bits: the sum of ``part_bits`` over its parts."""
+        return sum(map(self.part_bits, self.parts))
+
+    def edges(self):
+        """Yield (actor, item) for each item of each actor's part, in canonical order."""
+        for i, part in enumerate(self.parts):
+            for item in part:
+                yield i, item
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.actors == other.actors
+            and self.parts == other.parts
+        )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.parts)
+        return h
+
+
+class Relation(Structure):
     """A binary relation on an ActorSet; ``out[i]`` is i's out-neighbours, a sorted index tuple.
 
     ``out`` gives, per actor, an iterable of out-neighbour indices; duplicates collapse.
     """
 
-    __slots__ = ("actors", "out", "_hash")
+    __slots__ = ()
+    _noun = "rows"
+    out = Structure.parts
+    pairs = Structure.edges
 
-    def __init__(self, actors, out):
-        out = tuple(out)
-        n = len(actors)
-        if len(out) != n:
-            raise StructuralError(f"expected {n} rows, got {len(out)}")
-        self.actors = actors
-        self.out = tuple(canonical_indices(part, n, "out-neighbour") for part in out)
-        self._hash = None
-
-    @classmethod
-    def _from_canonical(cls, actors, out):
-        """Build from one sorted tuple of distinct indices in range(len(actors)) per actor."""
-        r = cls.__new__(cls)
-        r.actors = actors
-        r.out = tuple(out)
-        r._hash = None
-        return r
+    @staticmethod
+    def _canonical_part(row, n):
+        return canonical_indices(row, n, "out-neighbour")
 
     @classmethod
     def from_pairs(cls, actors, pairs):
@@ -177,19 +222,9 @@ class Relation:
     def from_label_pairs(cls, actors, pairs):
         return cls.from_pairs(actors, [(actors.resolve(a), actors.resolve(b)) for a, b in pairs])
 
-    def pairs(self):
-        """Yield index pairs in row-major order."""
-        for i, row in enumerate(self.out):
-            for j in row:
-                yield i, j
-
     def label_pairs(self):
         labs = self.actors.labels
         return [(labs[i], labs[j]) for i, j in self.pairs()]
-
-    @property
-    def is_empty(self):
-        return not any(self.out)
 
     def transpose(self):
         """The converse relation, each actor's in-neighbours read as its row."""
@@ -206,10 +241,6 @@ class Relation:
     def part_bits(row):
         """What one actor's row adds to ``stored_bits``: a slot for it and one per member."""
         return 64 * (1 + len(row))
-
-    def stored_bits(self):
-        """What the relation keeps, in bits: a 64-bit slot per actor and per out-neighbour."""
-        return sum(map(self.part_bits, self.out))
 
     def signature(self, i, image):
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
@@ -233,19 +264,6 @@ class Relation:
         for i, row in enumerate(self.out):
             out[image[i]].update(map(image.__getitem__, row))
         return Relation._from_canonical(target, [tuple(sorted(s)) for s in out])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Relation)
-            and self.actors == other.actors
-            and self.out == other.out
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.out)
-        return h
 
     def __repr__(self):
         return f"Relation({sorted(self.label_pairs())!r})"
@@ -325,10 +343,11 @@ class Partition:
 class MultiStructure:
     """One actor roster carrying named structures, in declaration order.
 
-    A structure is a ``Relation`` or an ``FHyperStructure``; both give
-    ``signature``, ``support``, ``successors`` and ``pushforward``.  The
-    shared regularity, refinement, brute-force and validation code reads the
-    structures that ``views`` selects, and a blockmodel pushes each forward.
+    A structure is a ``Relation`` or an ``FHyperStructure``, each a ``Structure``
+    that reads its own kind of part in ``signature``, ``support``,
+    ``successors`` and ``pushforward``.  The shared regularity, refinement,
+    brute-force and validation code reads the structures that ``views``
+    selects, and a blockmodel pushes each forward.
     """
 
     __slots__ = ("actors", "relations")
@@ -397,9 +416,9 @@ def _check_relation_name(name, seen):
 class PartTable:
     """The distinct parts a closure reaches, each interned once: ``parts[i]`` has id i.
 
-    A part is one actor's row of a relation or target family of an F-structure.
-    Given ``part_bits``, ``bits[i]`` caches what part i adds to a structure's
-    ``stored_bits()``, counted when it is interned.
+    A part is one actor's entry in a ``Structure``'s ``parts``, a row or a
+    target family.  Given ``part_bits``, ``bits[i]`` caches what part i adds
+    to a structure's ``stored_bits()``, counted when it is interned.
     """
 
     __slots__ = ("parts", "ids", "bits", "part_bits")

@@ -252,8 +252,8 @@ def structure_lines(structures):
 
     The text is the same, byte for byte, but each piece is made once per
     roster: a line lists its actors' parts in label order, the JSON of one
-    actor's part (``Relation.out[a]``, or an F-structure's ``targets[a]``) is
-    made once per distinct (actor, part), and an F-structure's target set is
+    actor's part (``x.parts[a]``, a relation's row or an F-structure's family)
+    is made once per distinct (actor, part), and an F-structure's target set is
     formatted once.  Later structures that hold the same part reuse its text.
     The text is kept only while the generator runs, and only for the roster
     of the structure at hand.
@@ -281,11 +281,8 @@ class _Fragments:
 
     def line(self, x):
         """The JSON list of ``x``'s edges, actors in label order."""
-        if isinstance(x, Relation):
-            parts, fragment = x.out, self._pairs
-        else:
-            parts, fragment = x.targets, self._hyperedges
-        cache = self.parts
+        fragment = self._pairs if isinstance(x, Relation) else self._hyperedges
+        parts, cache = x.parts, self.parts
         out = []
         for a in self.order:
             part = parts[a]

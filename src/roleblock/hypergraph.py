@@ -1,16 +1,17 @@
 """F-hypergraph structures, their two composition operations, and regularity.
 
-An F-hypergraph assigns to each actor a family of target sets.  A target set
-is stored as a sorted tuple of distinct actor indices, and each actor's family
-as a sorted tuple of distinct target sets (set-of-sets semantics: duplicate
-targets collapse, multiplicity is never tracked), O(n + m) in all for n actors
-and m target members.  The constructors build that form through
-``_canonical_family``, one ``core.canonical_indices`` call per set, which
-checks that every index lies in range(n); the document decoder and the
-computed structures build it from indices already in range.  Everything but
-``loose_compose`` reads the stored tuples as they are.  An empty target set,
-the empty tuple, is a legal hyperedge target and is distinct from an actor
-having no hyperedges.
+An F-hypergraph assigns to each actor a family of target sets, and an
+``FHyperStructure`` is the ``core.Structure`` whose part is that family.  A
+target set is stored as a sorted tuple of distinct actor indices, and each
+actor's family as a sorted tuple of distinct target sets (set-of-sets
+semantics: duplicate targets collapse, multiplicity is never tracked),
+O(n + m) in all for n actors and m target members.  The constructor builds
+that form through ``_canonical_family``, one ``core.canonical_indices`` call
+per set, which checks that every index lies in range(n); the document
+decoder and the computed structures build it from indices already in range.
+Everything but ``loose_compose`` reads the stored tuples as they are.  An
+empty target set, the empty tuple, is a legal hyperedge target and is
+distinct from an actor having no hyperedges.
 
 Both compositions are per actor, like ``core.compose_relations``: the left
 operand's rule for one family (``tight_rule``, ``loose_rule``) maps each
@@ -24,6 +25,7 @@ from .core import (
     MultiStructure,
     PartAction,
     Relation,
+    Structure,
     blockmodel_network,
     bruteforce,
     canonical_indices,
@@ -45,32 +47,20 @@ def _canonical_family(family, n, what):
     return tuple(sorted({canonical_indices(t, n, what) for t in family}))
 
 
-class FHyperStructure:
+class FHyperStructure(Structure):
     """Per-actor families of target sets over one ActorSet, in canonical form.
 
     ``targets[i]`` is i's family: a sorted tuple of distinct target sets,
     each a sorted tuple of distinct actor indices.
     """
 
-    __slots__ = ("actors", "targets", "_hash")
+    __slots__ = ()
+    _noun = "target families"
+    targets = Structure.parts
 
-    def __init__(self, actors, targets):
-        targets = list(targets)
-        n = len(actors)
-        if len(targets) != n:
-            raise StructuralError(f"expected {n} target families, got {len(targets)}")
-        self.actors = actors
-        self.targets = tuple(_canonical_family(family, n, "target") for family in targets)
-        self._hash = None
-
-    @classmethod
-    def _from_canonical(cls, actors, targets):
-        """Build from families that ``_canonical_family`` returned for ``len(actors)``."""
-        h = cls.__new__(cls)
-        h.actors = actors
-        h.targets = tuple(targets)
-        h._hash = None
-        return h
+    @staticmethod
+    def _canonical_part(family, n):
+        return _canonical_family(family, n, "target")
 
     @classmethod
     def from_edges(cls, actors, edges):
@@ -89,27 +79,13 @@ class FHyperStructure:
             [(actors.resolve(src), [actors.resolve(x) for x in tgt]) for src, tgt in edges],
         )
 
-    def edges(self):
-        """Yield (source, target tuple) hyperedges in canonical order."""
-        for a, family in enumerate(self.targets):
-            for t in family:
-                yield a, t
-
     def label_edges(self):
         label = self.actors.labels.__getitem__
-        return [
-            (label(a), tuple(map(label, t)))
-            for a, family in enumerate(self.targets)
-            for t in family
-        ]
+        return [(label(a), tuple(map(label, t))) for a, t in self.edges()]
 
     @property
     def edge_count(self):
         return sum(map(len, self.targets))
-
-    @property
-    def is_empty(self):
-        return not any(self.targets)
 
     @property
     def has_empty_target(self):
@@ -121,11 +97,6 @@ class FHyperStructure:
         """What one actor's family adds to ``stored_bits``: a slot for it, one per
         target set and one per target member."""
         return 64 * (1 + len(family) + sum(map(len, family)))
-
-    def stored_bits(self):
-        """What the structure keeps, in bits: a 64-bit slot per actor, per target
-        set and per target member."""
-        return sum(map(self.part_bits, self.targets))
 
     def signature(self, i, image):
         """The images under ``image`` of i's target sets, as a frozenset of frozensets."""
@@ -161,19 +132,6 @@ class FHyperStructure:
                         u = seen[t] = tuple(sorted(set(map(get, t))))
                     fam.add(u)
         return FHyperStructure._from_canonical(target, [tuple(sorted(f)) for f in fams])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FHyperStructure)
-            and self.actors == other.actors
-            and self.targets == other.targets
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.targets)
-        return h
 
     def __repr__(self):
         return f"FHyperStructure({self.label_edges()!r})"

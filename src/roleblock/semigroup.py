@@ -8,7 +8,7 @@ the word "PS" denotes P composed after S.
 
 from collections.abc import Sequence
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .core import (
     MultiNetwork,
@@ -38,12 +38,11 @@ DEFAULT_CAP = 10_000
 # for 1,024 index slots of 64 bits, so about 78 MiB at the default cap.
 BITS_PER_ELEMENT = 8 * 8192
 
-# per compose kind: the network type it closes, its structure type, the
-# attribute that holds a structure's parts, and the maker of its one-part rule
+# per compose kind: the network type it closes, its structure type and its one-part rule maker
 _KINDS = {
-    "graph": (MultiNetwork, Relation, attrgetter("out"), row_rule),
-    "tight": (MultiHypergraph, FHyperStructure, attrgetter("targets"), tight_rule),
-    "loose": (MultiHypergraph, FHyperStructure, attrgetter("targets"), loose_rule),
+    "graph": (MultiNetwork, Relation, row_rule),
+    "tight": (MultiHypergraph, FHyperStructure, tight_rule),
+    "loose": (MultiHypergraph, FHyperStructure, loose_rule),
 }
 
 COMPOSE_KINDS = tuple(_KINDS)
@@ -228,7 +227,7 @@ def _rows(s, cols):
         yield row
 
 
-def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom", prune_empty=False):
+def generate_closure(generators, compose, cap=DEFAULT_CAP):
     """Close a named generator list under a composition operation.
 
     Breadth-first over words by length, then lexicographically by generator
@@ -259,7 +258,7 @@ def generate_closure(generators, compose, cap=DEFAULT_CAP, compose_kind="custom"
     generators = list(generators)
     gens = [g for _, g in generators]
     op = lambda i, x: compose(gens[i], x)
-    return _closure(generators, op, cap, compose_kind, prune_empty, _stored_bits, None)
+    return _closure(generators, op, cap, "custom", False, _stored_bits, None)
 
 
 def _stored_bits(element):
@@ -376,7 +375,7 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     ``FHyperStructure``s that share the table's part tuples.
     """
     op = composition_for(compose_kind, prune_empty)
-    net_type, structure, parts_of, make_rule = _KINDS[compose_kind]
+    net_type, structure, make_rule = _KINDS[compose_kind]
     if not isinstance(net, net_type):
         if compose_kind == "graph":
             raise StructuralError("graph composition needs a graph network")
@@ -386,9 +385,9 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
     table = PartTable(structure.part_bits)
     by_ids, generators = {}, []
     for name, g in net.relations.items():
-        ids = tuple(map(table.intern, parts_of(g)))
+        ids = tuple(map(table.intern, g.parts))
         if ids not in by_ids:
-            by_ids[ids] = PartAction(table, make_rule(parts_of(g)))
+            by_ids[ids] = PartAction(table, make_rule(g.parts))
         generators.append((name, ids))
     actions = [by_ids[ids] for _, ids in generators]
     bits, parts, actors = table.bits, table.parts, net.actors

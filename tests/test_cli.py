@@ -603,6 +603,15 @@ class TestOracle:
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"blocks": [["a"], ["b", "c"]]}
 
+    @pytest.mark.parametrize("what", ["partitions", "coarsest"])
+    def test_mode_rejected_for_hyper(self, files, capsys, what):
+        _, wn, _, _ = files
+        code = main(["oracle", what, "--network", wn("h.json", parent_tree_hyper()), "--mode", "in"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --mode applies only to graph networks\n"
+
     def test_size_cap_exit_code(self, files, capsys):
         _, wn, _, _ = files
         import random

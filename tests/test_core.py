@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from helpers import (
     random_partition,
     random_relation,
 )
+import roleblock
 from roleblock import (
     ActorSet,
     FHyperStructure,
@@ -35,7 +38,7 @@ from roleblock import (
     network_passes,
     quotient_actor_set,
 )
-from roleblock.core import refine
+from roleblock.core import Structure, refine
 from roleblock.fixtures import (
     family_three,
     mirrored_pair_graph,
@@ -93,6 +96,57 @@ class TestRelation:
         acts = actors(3)
         r = Relation.from_pairs(acts, [(0, 1), (2, 1)])
         assert sorted(r.transpose().pairs()) == [(1, 0), (1, 2)]
+
+
+class TestStructure:
+    """``Relation`` and ``FHyperStructure`` share storage and identity through ``Structure``."""
+
+    SHARED = {"__init__", "_from_canonical", "__eq__", "__hash__", "stored_bits", "is_empty", "edges"}
+
+    def test_subclasses_define_none_of_the_shared_members(self):
+        source = Path(roleblock.__file__).parent
+        defined = {}
+        for module in ("core.py", "hypergraph.py"):
+            for node in ast.parse((source / module).read_text()).body:
+                if isinstance(node, ast.ClassDef) and node.name in ("Relation", "FHyperStructure"):
+                    names = defined[node.name] = set()
+                    for item in node.body:
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            names.add(item.name)
+                        elif isinstance(item, ast.Assign):
+                            names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        assert set(defined) == {"Relation", "FHyperStructure"}
+        assert {name: names & self.SHARED for name, names in defined.items()} == {
+            "Relation": set(),
+            "FHyperStructure": set(),
+        }
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_a_relation_never_equals_an_f_structure(self, n):
+        acts = actors(n)
+        r, h = Relation(acts, [()] * n), FHyperStructure(acts, [()] * n)
+        assert r.is_empty and h.is_empty and r.parts == h.parts
+        assert r != h
+        assert h != r
+
+    def test_aliases_read_the_parts_slot(self):
+        acts = actors(3)
+        r = Relation.from_pairs(acts, [(0, 1), (2, 0)])
+        h = FHyperStructure.from_edges(acts, [(0, [1, 2]), (2, [])])
+        assert r.out is r.parts
+        assert h.targets is h.parts
+        assert list(r.pairs()) == list(r.edges()) == [(0, 1), (2, 0)]
+        for x in (r, h, Relation._from_canonical(acts, r.parts)):
+            assert isinstance(x, Structure)
+            assert not hasattr(x, "__dict__")
+
+    def test_count_errors_name_the_part(self):
+        with pytest.raises(StructuralError) as exc:
+            Relation(actors(3), [(), ()])
+        assert str(exc.value) == "expected 3 rows, got 2"
+        with pytest.raises(StructuralError) as exc:
+            FHyperStructure(actors(3), [(), ()])
+        assert str(exc.value) == "expected 3 target families, got 2"
 
 
 class TestPartition:
