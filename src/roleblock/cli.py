@@ -240,6 +240,8 @@ def _cmd_oracle(args):
     net = _load_multirelational(args.network)
     mode = _resolve_mode(args.mode, net)
     if args.what == "partitions":
+        if args.mode is not None:
+            raise InputError("--mode does not apply to oracle partitions")
         for e in enumerate_partitions(net.actors):
             print(json.dumps(documents.partition_to_doc(e), sort_keys=True))
         return 0

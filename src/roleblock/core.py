@@ -6,9 +6,8 @@ signatures, supports, refinement's edge view and pushforwards read as they
 are, and which the constructors build through ``canonical_indices``.  Int
 masks, bit j for actor j, are built only inside composition, where a role
 semigroup's small roster makes a row a machine word or two and a composite a
-few ORs, and by the brute-force oracle, which is capped at a few actors.
-Everything in this module is an immutable value: operations return fresh
-objects and never mutate their inputs.
+few ORs.  Everything in this module is an immutable value: operations return
+fresh objects and never mutate their inputs.
 """
 
 from collections import Counter
@@ -748,9 +747,6 @@ def enumerate_partitions(actors):
         )
 
     def gen():
-        if n == 0:
-            yield Partition(actors, ())
-            return
         a = [0] * n
         m = [0] * n  # m[i] = max(a[0..i])
         while True:
@@ -758,7 +754,7 @@ def enumerate_partitions(actors):
             i = n - 1
             while i > 0 and a[i] == m[i - 1] + 1:
                 i -= 1
-            if i == 0:
+            if i <= 0:
                 return
             a[i] += 1
             m[i] = max(m[i - 1], a[i])
@@ -784,19 +780,13 @@ def bruteforce(structures, actors):
 
     - Bound: its block count has reached that of the best leaf so far.
       Placing an actor never lowers the count, so no leaf below is better.
-    - Signature: an item of i's signature (an out-neighbour, or a target set)
-      is fixed once every actor in it is placed, and the whole signature once
-      every actor in ``support(i)`` is.  The branch is cut when two placed
-      actors share a block, one's signature is fixed and the other has a
-      fixed item outside it.  Placed actors never move, so at every leaf
-      below the items are the same and the two signatures differ.
+    - Signature: i's signature in a structure is complete once i and every
+      actor of ``support(i)`` are placed.  The branch is cut when it differs
+      from the first complete signature of that structure in i's block.
+      Placed actors never move, so the two differ at every leaf below.
 
-    An actor's fixed items are the items common to its signatures with each
-    unplaced actor j sent to the fresh block n + j and to 2n + j.  Placing
-    actor d changes the fixed items of d and of the placed actors whose
-    support holds d only, so only pairs with one of them are checked again.
-    At a leaf every signature is fixed and the checks add up to the full
-    regularity test, so exactly the regular leaves survive.
+    A leaf is reached when each signature equals the first of its block, so
+    exactly the regular leaves survive, in restricted-growth order.
     """
     structures = list(structures)
     n = len(actors)
@@ -804,76 +794,41 @@ def bruteforce(structures, actors):
         raise ResourceLimitError(
             f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
         )
-    for s in structures:
+    # ready[d]: (structure t, its signature, actor i) for each signature complete at d
+    ready = [[] for _ in range(n)]
+    for t, s in enumerate(structures):
         s.actors.require_same(actors)
-    # reads[t][i]: the actors that i's signature in structure t reads, as a mask
-    reads = [[index_mask(s.support(i)) for i in range(n)] for s in structures]
-    # that signature is fixed once the last of them, done[t][i], is placed
-    done = [[m.bit_length() - 1 for m in masks] for masks in reads]
-    # the placed actors whose fixed items can change when actor d is placed
-    changed = [
-        [d] + [i for i in range(d) if any(masks[i] >> d & 1 for masks in reads)]
-        for d in range(n)
-    ]
-    # actor j's image is its block once placed, else n + j in lo and 2n + j in hi
-    lo = list(range(n, 2 * n))
-    hi = list(range(2 * n, 3 * n))
-    members = [[] for _ in range(n)]
-    # node[d + 1] names the node that placed actor d on the current path
-    node = [0] * (n + 1)
-    nodes = 0
-    # fixed items depend only on where the actors read are placed, so they are
-    # kept with the node that placed the last of those actors on the path
-    cache = [[(None, None)] * n for _ in structures]
+        for i in range(n):
+            ready[max((i, *s.support(i)))].append((t, s.signature, i))
+    # block[j]: actor j's block; no complete signature reads an unplaced one
+    block = [0] * n
+    # first[b][t]: the first complete signature of structure t in block b
+    first = [[None] * len(structures) for _ in range(n)]
     best, best_count = None, n + 1
 
-    def fixed(t, i, d):
-        """The items of i's signature in structure t that no later placement changes."""
-        key = node[(reads[t][i] & (2 << d) - 1).bit_length()]
-        seen, items = cache[t][i]
-        if seen != key:
-            s = structures[t]
-            items = s.signature(i, lo)
-            if d < done[t][i]:
-                items &= s.signature(i, hi)
-            cache[t][i] = (key, items)
-        return items
-
-    def fits(d):
-        """False when the signature cut drops the branch that placed actor d."""
-        for i in changed[d]:
-            mates = members[lo[i]]
-            if len(mates) < 2:
-                continue
-            for t in range(len(structures)):
-                whole_i = d >= done[t][i]
-                for j in mates:
-                    if j == i:
-                        continue
-                    whole_j = d >= done[t][j]
-                    if whole_i or whole_j:
-                        si, sj = fixed(t, i, d), fixed(t, j, d)
-                        if whole_i and not sj <= si or whole_j and not si <= sj:
-                            return False
-        return True
-
     def place(d, count):
-        nonlocal best, best_count, nodes
+        nonlocal best, best_count
         if d == n:
-            best, best_count = lo[:], count
+            best, best_count = block[:], count
             return
         for b in range(count + 1):
             grown = count + (b == count)
             if grown >= best_count:
                 break
-            nodes += 1
-            node[d + 1] = nodes
-            lo[d] = hi[d] = b
-            members[b].append(d)
-            if fits(d):
+            block[d] = b
+            kept = []
+            for t, signature, i in ready[d]:
+                firsts = first[block[i]]
+                sig = signature(i, block)
+                if firsts[t] is None:
+                    firsts[t] = sig
+                    kept.append((firsts, t))
+                elif firsts[t] != sig:
+                    break
+            else:
                 place(d + 1, grown)
-            members[b].pop()
-        lo[d], hi[d] = n + d, 2 * n + d
+            for firsts, t in kept:
+                firsts[t] = None
 
     place(0, 0)
     del place  # it calls itself through its cell: free that cycle now, not in the collector

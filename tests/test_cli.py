@@ -19,6 +19,7 @@ from roleblock import (
     role_semigroup,
 )
 from roleblock.cli import main
+from roleblock.errors import InvariantViolation
 from roleblock.fixtures import (
     coauthor_undirected,
     fanout_pair_hyper,
@@ -567,6 +568,28 @@ class TestFunctorCheck:
             "relations; convert to fhyper first\n"
         )
 
+    def test_one_stage_is_an_input_error(self, files, capsys):
+        _, _, _, wd = files
+        net = family_three_merged()
+        s1 = wd("s1.json", documents.stage_to_doc(net, documents.map_to_doc(identity_map(net.actors))["map"]))
+        code = main(["functor-check", "--stages", s1, "--compose", "graph"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need at least two stages\n"
+
+    def test_map_on_the_final_stage_is_an_input_error(self, files, capsys):
+        _, _, _, wd = files
+        net = family_three_merged()
+        mapping = documents.map_to_doc(identity_map(net.actors))["map"]
+        s1 = wd("s1.json", documents.stage_to_doc(net, mapping))
+        s2 = wd("s2.json", documents.stage_to_doc(net, mapping))
+        code = main(["functor-check", "--stages", s1, s2, "--compose", "graph"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {s2}: the final stage must not carry a map\n"
+
 
 class TestConvert:
     def test_coauthor_conversion(self, files, capsys):
@@ -612,6 +635,15 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err == "error: --mode applies only to graph networks\n"
 
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_mode_rejected_for_graph_partitions(self, files, capsys, mode):
+        _, wn, _, _ = files
+        code = main(["oracle", "partitions", "--network", wn("g.json", single_parent_graph()), "--mode", mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --mode does not apply to oracle partitions\n"
+
     def test_size_cap_exit_code(self, files, capsys):
         _, wn, _, _ = files
         import random
@@ -621,6 +653,20 @@ class TestOracle:
         net = random_network(random.Random(0), n=9, k=1)
         code = main(["oracle", "coarsest", "--network", wn("net.json", net)])
         assert code == 3
+
+
+def test_any_other_engine_error_is_an_internal_error(files, capsys, monkeypatch):
+    _, wn, _, _ = files
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("blocks out of order")
+
+    monkeypatch.setattr(cli, "max_regular_partition", broken)
+    code = main(["max-regular", "--network", wn("net.json", single_parent_graph())])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "internal error: blocks out of order\n"
 
 
 class TestInputErrors:

@@ -2,7 +2,7 @@
 
 A ``Relation`` stores one sorted tuple of out-neighbours per actor, and an
 ``FHyperStructure`` one sorted tuple of sorted target tuples; masks, bit j
-for actor j, appear only inside compositions and the brute-force oracle.  On
+for actor j, appear only inside compositions.  On
 random F-structures over at most 6 actors, drawn with empty targets,
 duplicate members, repeated and unsorted sets, every view must equal the
 tuple-form oracle in ``helpers``: the targets and edge order, both
@@ -213,7 +213,7 @@ def test_relation_range_errors_match_the_pairs(job):
 
 
 MASK_HELPERS = {"index_mask", "mask_members"}
-MASK_BUILDERS = MASK_HELPERS | {"row_rule", "bruteforce", "loose_rule"}
+MASK_BUILDERS = MASK_HELPERS | {"row_rule", "loose_rule"}
 
 
 def test_masks_are_built_only_inside_composition_and_the_oracle():

@@ -330,6 +330,12 @@ class TestCheckFunctoriality:
             report = check_functoriality([mh, n1, n2], [f1, f2], kind, prune_empty=prune)
             assert report.ok
 
+    @pytest.mark.parametrize("maps", [0, 2])
+    def test_wrong_map_count_raises(self, maps):
+        net = family_three_merged()
+        with pytest.raises(StructuralError, match="need one more network than maps"):
+            check_functoriality([net, net], [identity_map(net.actors)] * maps, "graph")
+
     def test_invalid_stage_raises(self):
         net = mirrored_pair_graph()
         f, dst = quotient_stage(net, mirrored_pair_partition(net.actors))
