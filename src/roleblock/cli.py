@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and positive analytic results), 1 negative analytic
 result (not regular, no induced reduction, functoriality failure), 2 input
-errors, 3 resource caps.  Primary results go to standard output, diagnostics
-to standard error.
+errors and internal errors, 3 resource caps and running out of memory.
+Primary results go to standard output, diagnostics to standard error.
 """
 
 import argparse
@@ -348,6 +348,11 @@ def main(argv=None):
     the parser, so each call sees only its own arguments and defaults.
     ``build_parser()`` returns a fresh parser for callers who want to extend it.
 
+    An error is reported on standard error as one line and mapped to an exit
+    code: 2 for input errors and internal errors (any exception that is not
+    roleblock's own is followed by its traceback), 3 for resource caps and
+    for running out of memory.  ``KeyboardInterrupt`` and ``SystemExit`` pass.
+
     When ``argv`` starts with a verb, the rest goes straight to that verb's
     subparser, which is what the full parser would hand it; leftovers are
     reported by the full parser, as it would.  Any other ``argv`` (empty,
@@ -372,6 +377,15 @@ def main(argv=None):
         return 3
     except EngineError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug: never let it pass for a verdict
+        import traceback  # only here, so that no command pays for its import
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

@@ -103,9 +103,11 @@ class ActorSet:
 
     def __init__(self, labels):
         labels = tuple(labels)
-        for lab in labels:
-            if not isinstance(lab, str) or not lab:
-                raise StructuralError(f"actor labels must be non-empty strings, got {lab!r}")
+        if not (set(map(type, labels)) <= {str} and "" not in labels):
+            # only to name the first label that is not a non-empty string
+            for lab in labels:
+                if not isinstance(lab, str) or not lab:
+                    raise StructuralError(f"actor labels must be non-empty strings, got {lab!r}")
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             dupes = sorted(lab for lab, count in Counter(labels).items() if count > 1)
@@ -643,6 +645,11 @@ def refine(structures, actors, seed=None):
     ranges of one array of nodes (Valmari 2010), so a split moves only the
     touched members.
 
+    A node alone in its block is settled: it never splits again, so its
+    counts and deltas are never read again, and a round skips it as a
+    predecessor.  A block whose touched members form one piece that covers
+    it does not split, and is left as it is.  Both only remove work.
+
     The fixpoint is the unique coarsest regular refinement of the seed, so
     the canonically numbered result does not depend on processing order.
     """
@@ -663,6 +670,11 @@ def refine(structures, actors, seed=None):
     loc = [0] * size
     for p, v in enumerate(elems):
         loc[v] = p
+    # alone[v]: v is settled, the one member of its block
+    alone = bytearray(size)
+    for block in blocks:
+        if len(block) == 1:
+            alone[block[0]] = 1
     # count[b * span + entry]: how many of that entry's edges lead into block
     # b; an edge that is its source's only one with its label needs no count
     count = {}
@@ -677,10 +689,16 @@ def refine(structures, actors, seed=None):
                 for entry in pred[v]:
                     if entry < 0:
                         entry = ~entry
-                        keys = delta.setdefault(entry % size, [])
+                        u = entry % size
+                        if alone[u]:
+                            continue
+                        keys = delta.setdefault(u, [])
                         if stale is not None:
                             keys.append(~((stale + entry) // size))
                         keys.append((fresh + entry) // size)
+                        continue
+                    u = entry % size
+                    if alone[u]:
                         continue
                     if stale is not None:
                         key = stale + entry
@@ -689,20 +707,22 @@ def refine(structures, actors, seed=None):
                             count[key] = left
                         else:
                             del count[key]
-                            delta.setdefault(entry % size, []).append(~(key // size))
+                            delta.setdefault(u, []).append(~(key // size))
                     key = fresh + entry
                     got = count.get(key)
                     if got:
                         count[key] = got + 1
                     else:
                         count[key] = 1
-                        delta.setdefault(entry % size, []).append(key // size)
+                        delta.setdefault(u, []).append(key // size)
         by_block = {}
         for u, keys in delta.items():
             keys.sort()
             by_block.setdefault(block_of[u], {}).setdefault(tuple(keys), []).append(u)
         moved = []
         for b, groups in by_block.items():
+            if len(groups) == 1 and len(next(iter(groups.values()))) == end[b] - first[b]:
+                continue  # one piece that covers the block: nothing splits
             # lay the touched members out at the end of b's range, piece by piece
             lo = hi = end[b]
             ranges = []
@@ -723,12 +743,16 @@ def refine(structures, actors, seed=None):
                 first[b], end[b] = largest
             else:
                 end[b] = lo
+            if end[b] - first[b] == 1:
+                alone[elems[first[b]]] = 1
             for lo, hi in ranges:
                 c = len(first)
                 first.append(lo)
                 end.append(hi)
                 for v in elems[lo:hi]:
                     block_of[v] = c
+                if hi - lo == 1:
+                    alone[elems[lo]] = 1
                 moved.append((c, b))
     return Partition(actors, block_of[:n])
 
@@ -786,7 +810,10 @@ def bruteforce(structures, actors):
       Placed actors never move, so the two differ at every leaf below.
 
     A leaf is reached when each signature equals the first of its block, so
-    exactly the regular leaves survive, in restricted-growth order.
+    exactly the regular leaves survive, in restricted-growth order.  A
+    signature complete at actor d that does not read d's block (d's own,
+    when d is not in its support) is computed once for all the blocks tried
+    for d.
     """
     structures = list(structures)
     n = len(actors)
@@ -794,12 +821,19 @@ def bruteforce(structures, actors):
         raise ResourceLimitError(
             f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
         )
-    # ready[d]: (structure t, its signature, actor i) for each signature complete at d
+    # ready[d]: (structure t, actor i, its signature, None) for each signature
+    # complete at d; fixed[d]: the places in ready[d] of the signatures that do
+    # not read block[d], which place(d) computes once for all the blocks it tries
     ready = [[] for _ in range(n)]
+    fixed = [[] for _ in range(n)]
     for t, s in enumerate(structures):
         s.actors.require_same(actors)
         for i in range(n):
-            ready[max((i, *s.support(i)))].append((t, s.signature, i))
+            support = s.support(i)
+            d = max((i, *support))
+            if d not in support:
+                fixed[d].append(len(ready[d]))
+            ready[d].append((t, i, s.signature, None))
     # block[j]: actor j's block; no complete signature reads an unplaced one
     block = [0] * n
     # first[b][t]: the first complete signature of structure t in block b
@@ -811,15 +845,24 @@ def bruteforce(structures, actors):
         if d == n:
             best, best_count = block[:], count
             return
+        # a signature that does not read block[d] is the same for every b:
+        # computed here, it takes the None's place
+        checks = ready[d]
+        if fixed[d]:
+            checks = checks[:]
+            for k in fixed[d]:
+                t, i, signature, _ = checks[k]
+                checks[k] = (t, i, None, signature(i, block))
         for b in range(count + 1):
             grown = count + (b == count)
             if grown >= best_count:
                 break
             block[d] = b
             kept = []
-            for t, signature, i in ready[d]:
+            for t, i, signature, sig in checks:
                 firsts = first[block[i]]
-                sig = signature(i, block)
+                if signature is not None:
+                    sig = signature(i, block)
                 if firsts[t] is None:
                     firsts[t] = sig
                     kept.append((firsts, t))

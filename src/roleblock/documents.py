@@ -4,18 +4,20 @@ One canonical serialization: keys sorted, edges deduplicated and sorted,
 actors kept in roster order.  Loading tolerates duplicate edges and any key
 order; saving a loaded document therefore canonicalizes it in one pass.
 
-Loading a network checks each edge's shape and resolves its labels in one
-pass, straight into index lists that the structure constructors put in
-canonical form.
-Its errors come in a fixed order, the order of a shape pass followed by a
-label pass: relations one after another; within a relation, a malformed edge
-anywhere before the first unknown label; relation names only once every
-relation has been read.
+A valid network, partition or roster is decoded in one pass that trusts it:
+types are checked in bulk, and each edge's labels are resolved and stored in
+one tight loop, straight into index lists that the structure constructors
+put in canonical form.  When anything in that pass fails, a checking pass
+runs from scratch, only to name the error.  Errors come in a fixed order, the
+order of a shape pass followed by a label pass: relations one after another;
+within a relation, a malformed edge anywhere before the first unknown label;
+relation names only once every relation has been read.
 """
 
 import contextlib
 import json
 import os
+from itertools import chain, islice
 
 from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation, sorted_distinct
 from .errors import InputError, StructuralError
@@ -167,38 +169,56 @@ def network_from_doc(doc, source="<input>"):
         raise InputError(f"{source}: {exc}") from None
 
 
-# The two relation decoders report a malformed edge at once, but hold the first
-# unknown label until every edge's shape has been checked: a malformed edge
-# anywhere in the relation is reported in its place.  Every index they collect
-# comes from the roster's index, so it is in range, and the stored form is
-# built straight from them.
+# The two relation decoders first try one pass that trusts the document: it
+# checks the edges' types in bulk and resolves and stores each edge in a tight
+# loop.  A lookup that fails there (an unknown or non-string label, an edge of
+# the wrong length or type) drops that pass, and the checking pass runs from
+# scratch, only to name the error: a shape pass over every edge, then a label
+# pass, so a malformed edge anywhere in the relation is reported before the
+# first unknown label.  Every index they collect comes from the roster's
+# index, so it is in range, and the stored form is built straight from them.
 
 def _relation(actors, edges, where):
     index = actors.index
-    out = [[] for _ in range(len(actors))]
-    unknown = None
+    if set(map(type, edges)) <= {list}:
+        out = [[] for _ in range(len(actors))]
+        try:
+            for a, b in edges:
+                out[index[a]].append(index[b])
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            return Relation._from_canonical(actors, map(sorted_distinct, out))
     for edge in edges:
         if not (
             isinstance(edge, list) and len(edge) == 2
             and isinstance(edge[0], str) and isinstance(edge[1], str)
         ):
             raise InputError(f"{where}: edge {edge!r} is not a [src, tgt] pair")
-        if unknown is None:
-            a, b = edge
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                unknown = a if i is None else b
-            else:
-                out[i].append(j)
-    if unknown is not None:
-        raise InputError(f"{where}: unknown actor {unknown!r}")
+    out = [[] for _ in range(len(actors))]
+    for a, b in edges:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise InputError(f"{where}: unknown actor {(a if i is None else b)!r}")
+        out[i].append(j)
     return Relation._from_canonical(actors, map(sorted_distinct, out))
 
 
 def _hyper_structure(actors, edges, where):
     index = actors.index
-    families = [[] for _ in range(len(actors))]
-    unknown = None
+    if set(map(type, edges)) <= {dict}:
+        families = [[] for _ in range(len(actors))]
+        resolve = index.__getitem__
+        try:
+            for edge in edges:
+                tgt = edge["tgt"]
+                if type(tgt) is not list:
+                    break
+                families[resolve(edge["src"])].append(list(map(resolve, tgt)))
+            else:
+                return _families(actors, families)
+        except (KeyError, TypeError):
+            pass
     for edge in edges:
         src, tgt = (edge.get("src"), edge.get("tgt")) if isinstance(edge, dict) else (None, None)
         if not (
@@ -209,15 +229,20 @@ def _hyper_structure(actors, edges, where):
                 f"{where}: hyperedge {edge!r} must be "
                 '{"src": label, "tgt": [labels]}'
             )
-        if unknown is None:
-            a = index.get(src)
-            members = list(map(index.get, tgt))
-            if a is None or None in members:
-                unknown = src if a is None else tgt[members.index(None)]
-            else:
-                families[a].append(members)
-    if unknown is not None:
-        raise InputError(f"{where}: unknown actor {unknown!r}")
+    families = [[] for _ in range(len(actors))]
+    for edge in edges:
+        src, tgt = edge["src"], edge["tgt"]
+        a = index.get(src)
+        members = list(map(index.get, tgt))
+        if a is None or None in members:
+            unknown = src if a is None else tgt[members.index(None)]
+            raise InputError(f"{where}: unknown actor {unknown!r}")
+        families[a].append(members)
+    return _families(actors, families)
+
+
+def _families(actors, families):
+    """The F-structure of one list of index lists per actor, put in canonical form."""
     return FHyperStructure._from_canonical(
         actors, [sorted_distinct(list(map(sorted_distinct, family))) for family in families]
     )
@@ -351,6 +376,17 @@ def partition_from_doc(doc, actors, source="<input>"):
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
         raise InputError(f"{source}: field 'blocks' must be a list of label lists")
     blocks = doc["blocks"]
+    # one trusting pass; on any doubt the checking pass below names the error
+    if set(map(type, blocks)) <= {list} and set(map(type, chain.from_iterable(blocks))) <= {str}:
+        members = list(map(actors.index.get, chain.from_iterable(blocks)))
+        n = len(actors)
+        if len(members) == n and None not in members and len(set(members)) == n:
+            block_of = [0] * n
+            members = iter(members)
+            for b, block in enumerate(blocks):
+                for i in islice(members, len(block)):
+                    block_of[i] = b
+            return Partition(actors, block_of)
     for block in blocks:
         if not (isinstance(block, list) and all(isinstance(x, str) for x in block)):
             raise InputError(f"{source}: block {block!r} is not a list of labels")

@@ -639,3 +639,26 @@ def _naive_parse_hyperedge(edge, name, source):
             '{"src": label, "tgt": [labels]}'
         )
     return edge["src"], edge["tgt"]
+
+
+def naive_partition_from_doc(doc, actors, source="<input>"):
+    """A partition document decoded by a shape pass over every block, then ``Partition.from_label_blocks``."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
+        raise InputError(f"{source}: field 'blocks' must be a list of label lists")
+    blocks = doc["blocks"]
+    for block in blocks:
+        if not (isinstance(block, list) and all(isinstance(x, str) for x in block)):
+            raise InputError(f"{source}: block {block!r} is not a list of labels")
+    try:
+        return Partition.from_label_blocks(actors, blocks)
+    except StructuralError as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+
+def naive_roster_error(labels):
+    """The message ``ActorSet(labels)`` must raise, or None: labels checked one by one, then duplicates."""
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            return f"actor labels must be non-empty strings, got {lab!r}"
+    dupes = sorted({lab for lab in labels if labels.count(lab) > 1})
+    return f"duplicate actor labels: {', '.join(dupes)}" if dupes else None

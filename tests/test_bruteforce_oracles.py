@@ -119,16 +119,17 @@ def five_block_random_7():
 # 4,140 (877) partitions until one fails, while the search signs each actor
 # once its signature is complete, that is once the actor and everything it
 # reads are placed, and cuts the branch as soon as that signature differs from
-# the first complete one in its block.  On the third the search finds regular
-# partitions with more than five blocks first, and the bound cuts every branch
-# that has reached the best count so far.  Each search makes at most a tenth
-# of the scan's calls.
+# the first complete one in its block.  A signature that does not read the
+# block of the actor just placed is made once for all the blocks tried for that
+# actor.  On the third the search finds regular partitions with more than five
+# blocks first, and the bound cuts every branch that has reached the best count
+# so far.  Each search makes at most a tenth of the scan's calls.
 @pytest.mark.parametrize(
     "make,blocks,search_calls,scan_calls",
     [
-        (directed_path_8, 8, 316, 15698),
-        (discrete_random_7, 7, 262, 3381),
-        (five_block_random_7, 5, 166, 2765),
+        (directed_path_8, 8, 309, 15698),
+        (discrete_random_7, 7, 217, 3381),
+        (five_block_random_7, 5, 124, 2765),
     ],
     ids=["directed-path-8", "random-7", "random-7-five-blocks"],
 )

@@ -669,6 +669,116 @@ def test_any_other_engine_error_is_an_internal_error(files, capsys, monkeypatch)
     assert captured.err == "internal error: blocks out of order\n"
 
 
+def _verb_argv(verb, files):
+    """An argv that reaches ``verb``'s library call, and the output file it would write."""
+    tmp_path, wn, wp, wd = files
+    out = str(tmp_path / "out")
+    if verb in ("check-regular", "max-regular", "oracle"):
+        net = single_parent_graph()
+        path = wn("net.json", net)
+        if verb == "check-regular":
+            return [verb, "--network", path, "--partition", wp("e.json", Partition.discrete(net.actors))], None
+        if verb == "max-regular":
+            return [verb, "--network", path], None
+        return [verb, "coarsest", "--network", path], None
+    if verb == "blockmodel":
+        net = family_three()
+        e = wp("e.json", generations_partition(net.actors))
+        return [verb, "--network", wn("net.json", net), "--partition", e, "-o", out], out
+    if verb == "roles":
+        return [verb, "--network", wn("net.json", family_three()), "--compose", "graph", "--table", out], out
+    if verb == "convert":
+        return [verb, "--undirected", wn("u.json", coauthor_undirected()), "-o", out], out
+    from roleblock.reduction import pushforward_network, quotient_map
+
+    net = family_three_merged()
+    f = quotient_map(generations_partition(net.actors))
+    dst = pushforward_network(net, f)
+    if verb == "induce":
+        maps = wd("map.json", documents.map_to_doc(f))
+        return [verb, "--source", wn("src.json", net), "--map", maps, "--target", wn("dst.json", dst),
+                "--compose", "graph"], None
+    s1 = wd("s1.json", documents.stage_to_doc(net, documents.map_to_doc(f)["map"]))
+    s2 = wd("s2.json", documents.stage_to_doc(dst))
+    return [verb, "--stages", s1, s2, "--compose", "graph"], None
+
+
+# one library call per verb, made to raise
+LIBRARY_CALLS = {
+    "check-regular": "is_outward_regular",
+    "max-regular": "max_regular_partition",
+    "blockmodel": "blockmodel_network",
+    "roles": "render_table_csv",
+    "induce": "validate_positional_reduction",
+    "functor-check": "check_functoriality",
+    "convert": "from_undirected",
+    "oracle": "coarsest_regular_bruteforce",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(LIBRARY_CALLS))
+@pytest.mark.parametrize(
+    "exc,code,first_line",
+    [
+        (MemoryError(), 3, "resource limit: out of memory"),
+        (TypeError("boom"), 2, "internal error: TypeError: boom"),
+    ],
+    ids=["memory", "type-error"],
+)
+def test_unforeseen_exceptions_keep_the_exit_code_contract(files, capsys, monkeypatch, verb, exc, code, first_line):
+    argv, out = _verb_argv(verb, files)
+
+    def broken(*args, **kwargs):
+        if verb == "roles":
+            args[1]("*,B,P\n")  # part of a table, through the renderer's write
+        raise exc
+
+    monkeypatch.setattr(cli, LIBRARY_CALLS[verb], broken)
+    before = sorted(os.listdir(files[0]))
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.split("\n")[0] == first_line
+    if code == 3:
+        assert err == first_line + "\n"
+    else:
+        assert "Traceback (most recent call last):" in err
+        assert err.rstrip("\n").split("\n")[-1] == "TypeError: boom"
+    assert sorted(os.listdir(files[0])) == before
+    assert out is None or not os.path.exists(out)
+
+
+def test_running_out_of_memory_exits_three(tmp_path):
+    resource = pytest.importorskip("resource")
+    # The limit holds in the child only.  At 96 MiB a small document loads and
+    # refines (CPython 3.11 on Linux starts roleblock in about 18 MiB of
+    # address space), while a sparse graph of 100,000 actors runs out of
+    # memory while it loads, within half a second; with 400 MiB it completes.
+    limit = 96 << 20
+    n = 100_000
+    labels = [f"v{i}" for i in range(n)]
+    edges = [[labels[i], labels[(i * 7 + k) % n]] for i in range(n) for k in (1, 2, 3)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"kind": "graph", "actors": labels, "relations": {"R": edges}}))
+    small = tmp_path / "small.json"
+    documents.save_network(single_parent_graph(), small)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(path):
+        return subprocess.run(
+            [sys.executable, "-m", "roleblock", "max-regular", "--network", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    control = run(small)
+    assert control.returncode == 0, control.stderr
+    proc = run(big)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "resource limit: out of memory\n"
+    assert proc.stdout == ""
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         assert main(["max-regular", "--network", "/nonexistent.json"]) == 2

@@ -11,7 +11,9 @@ from helpers import (
     actors,
     compose_oracle,
     naive_blocks,
+    naive_refine,
     naive_refines,
+    random_multihyper,
     random_network,
     random_partition,
     random_relation,
@@ -34,6 +36,7 @@ from roleblock import (
     is_inward_regular,
     is_outward_regular,
     is_regular,
+    max_regular_hyper_partition,
     max_regular_partition,
     network_passes,
     quotient_actor_set,
@@ -433,6 +436,72 @@ class TestMaxRegularPartition:
         for s in (Relation.from_pairs(acts, path), FHyperStructure.from_edges(acts, [(i, [j]) for i, j in path])):
             with pytest.raises(StructuralError, match="different actor sets"):
                 refine([s], actors(size))
+
+
+def half_singleton_seed(rng, acts):
+    """A seed whose blocks are half singletons: every other block has one actor."""
+    order = rng.sample(range(len(acts)), len(acts))
+    block_of = [0] * len(acts)
+    b = p = 0
+    while p < len(order):
+        size = 1 if b % 2 == 0 else rng.randint(2, 4)
+        for i in order[p:p + size]:
+            block_of[i] = b
+        p += size
+        b += 1
+    return Partition(acts, block_of)
+
+
+def sparse_graph(n, rng):
+    """n actors, each with 3 distinct random out-neighbours, in one relation."""
+    acts = actors(n)
+    pairs = [(i, j) for i in range(n) for j in rng.sample(range(n), 3)]
+    return MultiNetwork(acts, [("R", Relation.from_pairs(acts, pairs))])
+
+
+class TestSettledNodes:
+    """Refinement skips nodes alone in their block; the partitions stay those of the naive rounds."""
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_discrete_seed(self, mode):
+        rng = random.Random(11)
+        for _ in range(10):
+            net = random_network(rng, n=rng.randint(1, 30), k=rng.randint(1, 2), density=0.15)
+            seed = Partition.discrete(net.actors)
+            expected = naive_refine(net.views(mode), net.actors, seed)
+            assert expected == seed
+            assert max_regular_partition(net, mode=mode, seed=seed) == expected
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_seed_with_half_its_blocks_singletons(self, mode, rng):
+        net = random_network(rng, rng.randint(1, 30), rng.randint(1, 2), rng.choice([0.05, 0.1, 0.3]))
+        seed = half_singleton_seed(rng, net.actors)
+        assert max_regular_partition(net, mode=mode, seed=seed) == naive_refine(net.views(mode), net.actors, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_hyper_seed_with_half_its_blocks_singletons(self, rng):
+        mh = random_multihyper(rng, rng.randint(1, 30), rng.randint(1, 2), max_target=3)
+        seed = half_singleton_seed(rng, mh.actors)
+        assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_a_path_ends_discrete(self, mode):
+        acts = actors(50)
+        net = MultiNetwork(acts, [("R", Relation.from_pairs(acts, [(i, i + 1) for i in range(49)]))])
+        got = max_regular_partition(net, mode=mode)
+        assert got == naive_refine(net.views(mode), net.actors)
+        assert got == Partition.discrete(acts)
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_a_sparse_graph_ends_discrete(self, mode):
+        net = sparse_graph(40, random.Random(0))
+        got = max_regular_partition(net, mode=mode)
+        assert got == naive_refine(net.views(mode), net.actors)
+        if mode == "both":
+            assert got == Partition.discrete(net.actors)
 
 
 # ── enumeration and brute force ──────────────────────────────────────────────

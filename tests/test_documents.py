@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_network_from_doc
 from roleblock import InputError, MultiHypergraph, MultiNetwork, Partition, UndirectedHypergraph
 from roleblock import documents
 from roleblock.fixtures import (
@@ -123,6 +124,35 @@ class TestNetworkValidation:
         doc = {"kind": "fhyper", "actors": ["a"], "relations": {"H": [["a"]]}}
         with pytest.raises(InputError, match="hyperedge"):
             documents.network_from_doc(doc)
+
+    # Edges that a trusting unpack would read as valid: a string or an object
+    # whose two characters or keys are labels, a tuple, a target that is a
+    # string or an object of labels.  Each is malformed, with the message of
+    # the checking pass, wherever it stands among valid edges.
+    @pytest.mark.parametrize(
+        "kind,edge",
+        [
+            ("graph", "ab"),
+            ("graph", {"a": "b", "b": "a"}),
+            ("graph", ("a", "b")),
+            ("graph", ["a", "b", "a"]),
+            ("fhyper", {"src": "a", "tgt": "ab"}),
+            ("fhyper", {"src": "a", "tgt": {"a": 1, "b": 2}}),
+            ("fhyper", {"src": "a", "tgt": ("a", "b")}),
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_an_edge_that_unpacks_like_a_valid_one_is_malformed(self, kind, edge, at):
+        good = ["a", "b"] if kind == "graph" else {"src": "a", "tgt": ["b"]}
+        edges = [good, good]
+        edges.insert(at, edge)
+        doc = {"kind": kind, "actors": ["a", "b"], "relations": {"R": edges}}
+        with pytest.raises(InputError) as exc:
+            documents.network_from_doc(doc)
+        with pytest.raises(InputError) as expected:
+            naive_network_from_doc(doc)
+        assert str(exc.value) == str(expected.value)
+        assert "must be" in str(exc.value) or "is not a [src, tgt] pair" in str(exc.value)
 
 
 class TestPartitionDocuments:
