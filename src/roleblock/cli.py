@@ -364,7 +364,7 @@ def main(argv=None):
     if verb is None:
         args = parser.parse_args(argv)
     else:
-        args, extras = verb.parse_known_args(argv[1:])
+        args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))
     try:
@@ -379,7 +379,7 @@ def main(argv=None):
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
+        print(f"resource limit: out of memory in {args.command}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug: never let it pass for a verdict
         import traceback  # only here, so that no command pays for its import

@@ -104,7 +104,8 @@ def replacing(path):
     The text goes to a fresh file beside the target, which replaces the
     target in one step when the ``with`` block ends; if anything fails, the
     target keeps its old content and the fresh file is removed.  An
-    ``OSError`` names ``path``, not the fresh file.
+    ``OSError`` names ``path``, not the fresh file.  Writes leave the
+    process in 64 KiB pieces, however small the pieces written.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -112,7 +113,7 @@ def replacing(path):
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with open(fd, "w", encoding="utf-8") as fh:
+            with open(fd, "w", buffering=1 << 16, encoding="utf-8") as fh:
                 yield fh
             os.replace(tmp, path)
         except BaseException:

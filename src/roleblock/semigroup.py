@@ -189,8 +189,8 @@ class CayleyView(Sequence):
     """The Cayley table of a ``RoleSemigroup``, derived on demand and never stored.
 
     ``view[i]`` is ``s.row(i)``.  Iterating derives each row from its
-    suffix's row, one BFS level back, and keeps only the rows of that level
-    and the current one.
+    prefix's row, one BFS level back, with one prebuilt pick, and keeps only
+    the rows of that level and the current one.
     """
 
     __slots__ = ("_s",)
@@ -213,17 +213,29 @@ def _pick(seq, idxs):
     return itemgetter(*idxs)(seq) if len(idxs) > 1 else tuple(seq[i] for i in idxs)
 
 
-def _rows(s, cols):
-    # each element's products with the elements cols, in index order: the row
-    # of x = g*x' is the row of its suffix x', one BFS level back, mapped
-    # through g's left edges, since (g*x')*y = g*(x'*y)
-    left, words = s.left, s.words
-    previous, current, depth = {}, {}, 1
+def _rows(s, cells, last=None):
+    # each element x's tuple of cells[x*y] over the elements y in index order,
+    # ``last`` moved to the end.  x = g*x' is p*h for its prefix p = g*prefix(x'),
+    # one BFS level back (shortlex words are prefix-closed), so x's row is p's
+    # row picked at h's left edges; a generator's prefix is the empty word
+    left, words, gens = s.left, s.words, s.generator_elements
+    cols = [y for y in range(len(s)) if y != last] + ([] if last is None else [last])
+    at = {y: j for j, y in enumerate(cols)}
+    pick = [tuple] * len(left)  # one element: its row is its one cell
+    if len(cols) > 1:
+        pick = [itemgetter(*map(at.get, _pick(row, cols))) for row in left]
+    base, prefix, previous, current, depth = _pick(cells, cols), [], {}, {}, 1
     for x, rest in enumerate(s.suffix):
         word = words[x]
         if len(word) > depth:
             previous, current, depth = current, {}, len(word)
-        row = current[x] = _pick(left[word[0]], cols if rest is None else previous[rest])
+        if rest is None:
+            p, row = None, base
+        else:
+            p = gens[word[0]] if prefix[rest] is None else left[word[0]][prefix[rest]]
+            row = previous[p]
+        prefix.append(p)
+        row = current[x] = pick[word[-1]](row)
         yield row
 
 
@@ -406,9 +418,10 @@ def role_semigroup(net, compose_kind, prune_empty=False, cap=DEFAULT_CAP):
 def find_identity(s):
     """Index of the two-sided identity of the semigroup, if present.
 
-    Checked against the generators only.
+    Checked against the generators only, for each e with elements[0]*e = elements[0].
     """
-    return _first_zero_or_identity(s, range(len(s)), zero=False)
+    row = s.left[s.words[0][0]]
+    return _first_zero_or_identity(s, [e for e, g in enumerate(row) if g == 0], zero=False)
 
 
 def _display_labels(s):
@@ -427,8 +440,8 @@ def multiplication_table(s):
     """
     shown = _display_labels(s)
     idxs = s.nonzero_indices()
-    zero = s.absorbing
-    grid = [list(_pick(shown, row)) for x, row in enumerate(_rows(s, idxs)) if x != zero]
+    zero, n = s.absorbing, len(idxs)
+    grid = [list(row[:n]) for x, row in enumerate(_rows(s, shown, zero)) if x != zero]
     return [shown[i] for i in idxs], grid
 
 
@@ -445,7 +458,8 @@ def render_table_csv(s, write=None):
     The table of ``multiplication_table``, one line per row; a label holding
     a comma, a quote, CR or LF is quoted.  Returns the text; given ``write``,
     passes it each line as it is rendered instead and keeps only the rows
-    that ``CayleyView`` iteration keeps.
+    that ``CayleyView`` iteration keeps, as labels with the zero's column
+    last: a line is one pick of its prefix's row, one slice and one join.
     """
     if write is None:
         lines = []
@@ -453,11 +467,11 @@ def render_table_csv(s, write=None):
         return "".join(lines)
     shown = list(map(_csv_field, _display_labels(s)))
     idxs = s.nonzero_indices()
-    zero = s.absorbing
+    zero, n = s.absorbing, len(idxs)
     write(",".join(["*"] + [shown[i] for i in idxs]) + "\n")
-    for x, row in enumerate(_rows(s, idxs)):
+    for x, row in enumerate(_rows(s, shown, zero)):
         if x != zero:
-            write(shown[x] + "," + ",".join(_pick(shown, row)) + "\n")
+            write(shown[x] + "," + ",".join(row[:n]) + "\n")
 
 
 def _generator_graphs(s):

@@ -357,15 +357,25 @@ def naive_closure(generators, compose, cap):
 def naive_table_csv(s, compose):
     """The CSV table from ``naive_cayley``: nonzero rows and columns, "0" for
     the zero, each line written by ``csv.writer`` and ended by LF."""
-    cay = naive_cayley(s, compose)
-    zero = naive_zero(s)
+    return naive_csv(*naive_table(s, naive_cayley(s, compose), naive_zero(s)))
+
+
+def naive_table(s, cay, zero):
+    """Row labels and label grid of the full table ``cay`` without the row and
+    column of ``zero`` (None for none), entries on it labelled "0"."""
     keep = [i for i in range(len(s)) if i != zero]
 
     def label(i):
         return "0" if i == zero else s.word_label(i)
 
+    return [label(i) for i in keep], [[label(cay[i][j]) for j in keep] for i in keep]
+
+
+def naive_csv(labels, grid):
+    """Header "*" then the labels, then one line per row, each written by
+    ``csv.writer`` and ended by LF."""
     lines = []
-    for row in [["*"] + [label(j) for j in keep]] + [[label(i)] + [label(cay[i][j]) for j in keep] for i in keep]:
+    for row in [["*"] + labels] + [[label] + row for label, row in zip(labels, grid)]:
         out = io.StringIO()
         # CRLF as terminator makes the writer quote a field holding CR or LF
         csv.writer(out, lineterminator="\r\n").writerow(row)

@@ -720,13 +720,14 @@ LIBRARY_CALLS = {
 @pytest.mark.parametrize(
     "exc,code,first_line",
     [
-        (MemoryError(), 3, "resource limit: out of memory"),
+        (MemoryError(), 3, "resource limit: out of memory in {verb}"),
         (TypeError("boom"), 2, "internal error: TypeError: boom"),
     ],
     ids=["memory", "type-error"],
 )
 def test_unforeseen_exceptions_keep_the_exit_code_contract(files, capsys, monkeypatch, verb, exc, code, first_line):
     argv, out = _verb_argv(verb, files)
+    first_line = first_line.format(verb=verb)
 
     def broken(*args, **kwargs):
         if verb == "roles":
@@ -775,7 +776,7 @@ def test_running_out_of_memory_exits_three(tmp_path):
     assert control.returncode == 0, control.stderr
     proc = run(big)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == "resource limit: out of memory\n"
+    assert proc.stderr == "resource limit: out of memory in max-regular\n"
     assert proc.stdout == ""
 
 

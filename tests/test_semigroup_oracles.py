@@ -26,9 +26,11 @@ from helpers import (
     naive_closure,
     naive_compatible,
     naive_congruence,
+    naive_csv,
     naive_holds,
     naive_hom,
     naive_identity,
+    naive_table,
     naive_table_csv,
     naive_zero,
     random_multihyper,
@@ -60,6 +62,7 @@ from roleblock import (
     generator_induced_hom,
     identity_relation,
     loose_compose,
+    multiplication_table,
     pushforward_network,
     quotient_map,
     quotient_semigroup,
@@ -739,3 +742,123 @@ def test_streamed_table_equals_naive_table(rng, extra, names):
             code = main(["roles", "--network", path, "--compose", "graph", "--table", "-"])
     assert code == 0
     assert out.getvalue() == expected
+
+
+def table_zero(cay, empty):
+    """``empty`` if it absorbs on both sides in the full table ``cay``, else None."""
+    if empty is not None and all(cay[empty][x] == empty == cay[x][empty] for x in range(len(cay))):
+        return empty
+    return None
+
+
+def first_empty(s):
+    """Index of the first empty element of a closure, None if there is none."""
+    return next((z for z, x in enumerate(s.elements) if x.is_empty), None)
+
+
+def assert_prefix_closed(s):
+    # the premise of streamed rows: each word without its last letter is the
+    # word of an element, or the empty word
+    words = set(s.words)
+    assert all(len(w) == 1 or w[:-1] in words for w in s.words)
+
+
+def assert_table_readers_equal(s, cay, zero):
+    # the three readers of the table against the full table ``cay`` and its zero
+    assert tuple(s.cayley) == tuple(map(tuple, cay))
+    assert s.absorbing == zero
+    labels, grid = naive_table(s, cay, zero)
+    expected = naive_csv(labels, grid)
+    assert multiplication_table(s) == (labels, grid)
+    assert render_table_csv(s) == expected
+    lines = []
+    render_table_csv(s, lines.append)
+    assert "".join(lines) == expected and len(lines) == len(labels) + 1
+
+
+def assert_quotient_readers_equal(s, c, empty):
+    # the quotient of s by c against its table from ``product``, which traces
+    # words through the right Cayley graph; ``empty`` indexes the empty class
+    # of s (None if there is none).  Returns the quotient and its empty class
+    q, to_quotient = quotient_semigroup(s, c)
+    empty = None if empty is None else to_quotient.image[empty]
+    cay = [[q.product(i, j) for j in range(len(q))] for i in range(len(q))]
+    assert_prefix_closed(q)
+    assert_table_readers_equal(q, cay, table_zero(cay, empty))
+    return q, empty
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_table_readers_equal_naive_table(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    cay = naive_cayley(s, composition_for(compose_kind, prune_empty))
+    assert_prefix_closed(s)
+    assert_table_readers_equal(s, cay, table_zero(cay, first_empty(s)))
+
+
+@pytest.mark.parametrize("compose_kind,prune_empty", KINDS)
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_quotient_table_readers_equal_product_table(compose_kind, prune_empty, rng):
+    s = closure(random_net(rng, compose_kind), compose_kind, prune_empty)
+    empty = first_empty(s)
+    for _ in range(2):  # a quotient, then a quotient of it
+        m = len(s)
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randint(0, 2))]
+        s, empty = assert_quotient_readers_equal(s, congruence_closure(s, pairs), empty)
+
+
+def _edge_network(case):
+    acts = actors(3)
+    chain = Relation.from_pairs(acts, [(0, 1), (1, 2)])
+    fans = FHyperStructure(acts, [[(1, 2)], [(2,)], []])
+    return {
+        "one element": (MultiNetwork(acts, [("I", identity_relation(acts))]), "graph"),
+        "duplicated generator": (
+            MultiNetwork(acts, [("A", chain), ("B", identity_relation(acts)), ("C", chain)]), "graph",
+        ),
+        "zero only": (MultiNetwork(acts, [("Z", empty_relation(acts))]), "graph"),
+        "hyper duplicated generator": (MultiHypergraph(acts, [("A", fans), ("B", fans)]), "tight"),
+        "hyper zero only": (MultiHypergraph(acts, [("Z", FHyperStructure(acts, [[]] * 3))]), "loose"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["one element", "duplicated generator", "zero only", "hyper duplicated generator", "hyper zero only"],
+)
+def test_table_readers_on_edge_cases(case):
+    net, compose_kind = _edge_network(case)
+    s = role_semigroup(net, compose_kind)
+    cay = naive_cayley(s, composition_for(compose_kind))
+    assert_prefix_closed(s)
+    assert_table_readers_equal(s, cay, table_zero(cay, first_empty(s)))
+    if case.startswith("one") or case.endswith("zero only"):
+        assert len(s) == 1
+    # the quotients with one class and with every element alone
+    for block_of in ([0] * len(s), range(len(s))):
+        assert_quotient_readers_equal(s, ElementCongruence(s, block_of), first_empty(s))
+
+
+def compose_maps(k, h):
+    # k after h, for maps of 0..n-1 as tuples of images
+    return tuple(k[i] for i in h)
+
+
+@pytest.mark.parametrize(
+    "generators,identity",
+    [
+        # A is constant, so A*e = A for every e: A and B are candidates that
+        # fail on B (B*A and B*B are neither B), before the identity C
+        ([("A", (0, 0, 0)), ("B", (1, 0, 2)), ("C", (0, 1, 2))], 2),
+        # A*e = A for every e, and no e has B*e = B = e*B
+        ([("A", (0, 0, 0)), ("B", (1, 1, 2))], None),
+    ],
+    ids=["identity-after-false-candidates", "false-candidates-only"],
+)
+def test_identity_candidates_that_fix_only_the_first_generator(generators, identity):
+    s = generate_closure(generators, compose_maps)
+    assert all(s.left[0][e] == 0 for e in range(len(s)))
+    assert find_identity(s) == naive_identity(s) == identity
