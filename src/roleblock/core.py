@@ -247,6 +247,14 @@ class Relation(Structure):
         """The images of i's out-neighbours under ``image`` (a sequence of indices)."""
         return frozenset(map(image.__getitem__, self.out[i]))
 
+    def signatures(self, image):
+        """Yield every actor's ``signature`` under ``image``, in actor order, each as a set."""
+        for row in self.out:
+            sig = set()
+            for j in row:
+                sig.add(image[j])
+            yield sig
+
     def support(self, i):
         """The actors that i's signature reads: its out-neighbours."""
         return self.out[i]
@@ -546,15 +554,15 @@ def signatures_agree(structures, e):
 
     That is regularity of e: the signature of i is the block-level image of
     its out-neighbours or targets, and two equivalent actors must see the
-    same blocks.  One pass over the edges; ``structures`` may be lazy and is
-    consumed only up to the first failure.
+    same blocks.  Each structure signs its actors in one ``signatures`` pass,
+    read only up to the first actor whose signature differs from its block's
+    first; ``structures`` may be lazy and is consumed only up to that failure.
     """
     block_of = e.block_of
     for s in structures:
         s.actors.require_same(e.actors)
         first = {}
-        for i, b in enumerate(block_of):
-            sig = s.signature(i, block_of)
+        for b, sig in zip(block_of, s.signatures(block_of)):
             if first.setdefault(b, sig) != sig:
                 return False
     return True
@@ -591,30 +599,36 @@ def _predecessors(structures, actors):
 
     Edge u -> v with label l is the entry l * N + u of ``pred[v]``, for N
     nodes in all, or ~(l * N + u) when it is u's only edge with label l.
-    Returns ``pred``, N and the number of labels.  No structure is kept, so
-    a transpose made by ``views`` is freed before the refinement rounds start.
+    Returns ``pred``, N, the number of labels, each node's label set as a
+    mask (bit l when it has an edge labelled l) and ``degree``, which maps
+    each entry of two or more edges to their number.  No structure is kept,
+    so a transpose made by ``views`` is freed before the refinement rounds
+    start.
     """
     nodes = {}
     lists = []
     for s in structures:
         s.actors.require_same(actors)
         lists.append(s.successors(nodes))
-    k = len(lists)
-    size = len(actors) + len(nodes)
+    k, n = len(lists), len(actors)
+    lists.append(nodes)  # its keys, in node order, are the members of nodes n, n + 1, ...
+    size = n + len(nodes)
     pred = [[] for _ in range(size)]
-
-    def add(entry, targets):
-        if len(targets) == 1:
-            entry = ~entry
-        for v in targets:
-            pred[v].append(entry)
-
+    label_sets = [0] * size
+    degree = {}
     for t, out in enumerate(lists):
-        for u, vs in enumerate(out):
-            add(t * size + u, vs)
-    for members, t in nodes.items():
-        add(k * size + t, members)
-    return pred, size, k + 1
+        bit, base = 1 << t, t * size
+        for u, vs in enumerate(out, n if t == k else 0):
+            if vs:
+                label_sets[u] |= bit
+                entry = base + u  # one int object, shared by every list it is in
+                if len(vs) == 1:
+                    pred[vs[0]].append(~entry)
+                else:
+                    degree[entry] = len(vs)
+                    for v in vs:
+                        pred[v].append(entry)
+    return pred, size, k + 1, label_sets, degree
 
 
 def refine(structures, actors, seed=None):
@@ -624,18 +638,26 @@ def refine(structures, actors, seed=None):
     once per call from each structure's ``successors``.  An F-structure is read
     as a two-sorted system (Wißmann et al., LMCS 2020): actor i has an edge to
     one node per target set, and that node an edge to each member, so its
-    signature is the family of block-level target sets.  Target-set nodes
-    start in a block of their own.  A node's signature is the set of (label,
-    block) keys of its out-edges, and each node keeps a count per key.
+    signature is the family of block-level target sets.  A node's signature
+    is the set of (label, block) keys of its out-edges, and each node keeps a
+    count per key.
+
+    Every node starts in one block, block 0, where an entry's count is its
+    out-degree, so a node's signature is its set of edge labels.  The seed's
+    blocks, with the target-set nodes in a block of their own, split by label
+    set are therefore pieces of block 0 whose members share a signature.  As
+    at every split (Hopcroft 1971), the largest piece keeps number 0 and only
+    the others move out of it, in the first round, so no round visits every
+    edge just to count it.
 
     A round starts from the nodes that moved in the round before, each from
-    block b to a fresh block c: only their predecessors' counts change.  The
-    first round moves every node into its seed block from nowhere.  A touched
-    node's new signature is its old one plus the keys whose count rose from
-    zero (all with a fresh block) minus the keys whose count fell to zero.
-    Every node of a block had one signature before the round, so the touched
-    members of a block are grouped by that (added, removed) delta, and an
-    untouched member keeps the old signature, which no touched member has.
+    block b to a fresh block c: only their predecessors' counts change.  A
+    touched node's new signature is its old one plus the keys whose count
+    rose from zero (all with a fresh block) minus the keys whose count fell to
+    zero.  Every node of a block had one signature before the round, so the
+    touched members of a block are grouped by that (added, removed) delta,
+    and an untouched member keeps the old signature, which no touched member
+    has.
 
     A block splits into its untouched rest and one piece per delta.  The
     largest piece keeps the block's number; every other piece takes a fresh
@@ -657,34 +679,39 @@ def refine(structures, actors, seed=None):
         seed = Partition.universal(actors)
     seed.actors.require_same(actors)
     n = len(actors)
-    pred, size, labels = _predecessors(structures, actors)
+    pred, size, labels, label_sets, count = _predecessors(structures, actors)
     span = labels * size
-    blocks = list(seed.blocks())
-    if size > n:
-        blocks.append(range(n, size))
-    block_of = [*seed.block_of, *[len(blocks) - 1] * (size - n)]
+    # the first split: (seed block, label set) -> its nodes; the target-set
+    # nodes' seed block is one past the seed's last
+    pieces = {}
+    for v, b in enumerate(chain(seed.block_of, [seed.num_blocks] * (size - n))):
+        pieces.setdefault(b << labels | label_sets[v], []).append(v)
+    blocks = sorted(pieces.values(), key=len, reverse=True)  # the largest keeps number 0
+    del label_sets, pieces
     # block b holds elems[first[b]:end[b]]; loc[v] is v's place in elems
     elems = [v for block in blocks for v in block]
     end = list(accumulate(map(len, blocks)))
     first = [e - len(block) for e, block in zip(end, blocks)]
+    block_of = [0] * size
     loc = [0] * size
     for p, v in enumerate(elems):
         loc[v] = p
     # alone[v]: v is settled, the one member of its block
     alone = bytearray(size)
-    for block in blocks:
+    for b, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = b
         if len(block) == 1:
             alone[block[0]] = 1
+    del blocks
     # count[b * span + entry]: how many of that entry's edges lead into block
     # b; an edge that is its source's only one with its label needs no count
-    count = {}
-    moved = [(c, None) for c in range(len(first))]
+    moved = [(c, 0) for c in range(1, len(first))]
     while moved:
         # each touched node's delta: key b * labels + l added, ~key removed
         delta = {}
         for c, b in moved:
-            fresh = c * span
-            stale = None if b is None else b * span
+            fresh, stale = c * span, b * span
             for v in elems[first[c]:end[c]]:
                 for entry in pred[v]:
                     if entry < 0:
@@ -693,21 +720,19 @@ def refine(structures, actors, seed=None):
                         if alone[u]:
                             continue
                         keys = delta.setdefault(u, [])
-                        if stale is not None:
-                            keys.append(~((stale + entry) // size))
+                        keys.append(~((stale + entry) // size))
                         keys.append((fresh + entry) // size)
                         continue
                     u = entry % size
                     if alone[u]:
                         continue
-                    if stale is not None:
-                        key = stale + entry
-                        left = count[key] - 1
-                        if left:
-                            count[key] = left
-                        else:
-                            del count[key]
-                            delta.setdefault(u, []).append(~(key // size))
+                    key = stale + entry
+                    left = count[key] - 1
+                    if left:
+                        count[key] = left
+                    else:
+                        del count[key]
+                        delta.setdefault(u, []).append(~(key // size))
                     key = fresh + entry
                     got = count.get(key)
                     if got:

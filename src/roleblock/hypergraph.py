@@ -103,6 +103,21 @@ class FHyperStructure(Structure):
         get = image.__getitem__
         return frozenset([frozenset(map(get, t)) for t in self.targets[i]])
 
+    def signatures(self, image):
+        """Yield every actor's ``signature`` under ``image``, in actor order, each as a set.
+
+        Each distinct target set's image is made once.
+        """
+        get, seen = image.__getitem__, {}
+        for family in self.targets:
+            sig = set()
+            for t in family:
+                u = seen.get(t)
+                if u is None:
+                    u = seen[t] = frozenset(map(get, t))
+                sig.add(u)
+            yield sig
+
     def support(self, i):
         """The actors that i's signature reads: the union of its target sets, in index order."""
         return tuple(sorted(set(chain.from_iterable(self.targets[i]))))

@@ -180,8 +180,8 @@ def validate_positional_reduction(f, src, dst, mode="out"):
     report = ReductionReport(surjective=f.is_surjective)
     identity = range(len(dst.actors))
     for name, s, d in zip(src.names, src.views(mode), dst.views(mode)):
-        theirs = [d.signature(b, identity) for b in identity]
-        ours = [s.signature(a, f.image) for a in range(len(src.actors))]
+        theirs = list(d.signatures(identity))
+        ours = list(s.signatures(f.image))
         report.preserves[name] = all(sig <= theirs[b] for sig, b in zip(ours, f.image))
         report.reflects[name] = all(sig >= theirs[b] for sig, b in zip(ours, f.image))
     report.matches_blockmodel = report.surjective and pushforward_network(src, f) == dst

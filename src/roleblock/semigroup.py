@@ -73,8 +73,9 @@ class RoleSemigroup:
 
     ``elements`` lists the closure in discovery (shortest-word) order;
     ``words[i]`` is the generator-index sequence of the earliest shortest word
-    for element i, and ``suffix[i]`` the element whose word is ``words[i]``
-    without its first letter (None for a generator).  The semigroup keeps its
+    for element i, ``suffix[i]`` the element whose word is ``words[i]``
+    without its first letter and ``prefix[i]`` the one without its last
+    letter (each None for a generator).  The semigroup keeps its
     two Cayley graphs, not its table: ``left[a][i]`` indexes generator a
     composed after elements[i] and ``right[a][i]`` elements[i] composed after
     generator a, k·m entries for k generators and m elements.  The operation
@@ -100,6 +101,7 @@ class RoleSemigroup:
         "elements",
         "words",
         "suffix",
+        "prefix",
         "left",
         "right",
         "generator_names",
@@ -112,12 +114,13 @@ class RoleSemigroup:
     )
 
     def __init__(
-        self, elements, words, suffix, left, right, index, generator_names, generator_elements,
-        compose_kind, prune_empty, empty,
+        self, elements, words, suffix, prefix, left, right, index, generator_names,
+        generator_elements, compose_kind, prune_empty, empty,
     ):
         self.elements = elements
         self.words = words
         self.suffix = suffix
+        self.prefix = prefix
         self.left = left
         self.right = right
         self._index = index
@@ -215,27 +218,21 @@ def _pick(seq, idxs):
 
 def _rows(s, cells, last=None):
     # each element x's tuple of cells[x*y] over the elements y in index order,
-    # ``last`` moved to the end.  x = g*x' is p*h for its prefix p = g*prefix(x'),
-    # one BFS level back (shortlex words are prefix-closed), so x's row is p's
-    # row picked at h's left edges; a generator's prefix is the empty word
-    left, words, gens = s.left, s.words, s.generator_elements
+    # ``last`` moved to the end.  x = p*h for its prefix p, one BFS level back
+    # (shortlex words are prefix-closed), so x's row is p's row picked at h's
+    # left edges; a generator's prefix is the empty word
+    left, words = s.left, s.words
     cols = [y for y in range(len(s)) if y != last] + ([] if last is None else [last])
     at = {y: j for j, y in enumerate(cols)}
     pick = [tuple] * len(left)  # one element: its row is its one cell
     if len(cols) > 1:
         pick = [itemgetter(*map(at.get, _pick(row, cols))) for row in left]
-    base, prefix, previous, current, depth = _pick(cells, cols), [], {}, {}, 1
-    for x, rest in enumerate(s.suffix):
+    base, previous, current, depth = _pick(cells, cols), {}, {}, 1
+    for x, p in enumerate(s.prefix):
         word = words[x]
         if len(word) > depth:
             previous, current, depth = current, {}, len(word)
-        if rest is None:
-            p, row = None, base
-        else:
-            p = gens[word[0]] if prefix[rest] is None else left[word[0]][prefix[rest]]
-            row = previous[p]
-        prefix.append(p)
-        row = current[x] = pick[word[-1]](row)
+        row = current[x] = pick[word[-1]](base if p is None else previous[p])
         yield row
 
 
@@ -368,7 +365,7 @@ def _closure(generators, compose, cap, compose_kind, prune_empty, weigh, materia
     elements = tuple(elements)
     empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
     return RoleSemigroup(
-        elements, tuple(words), tuple(suffix), tuple(map(tuple, left)),
+        elements, tuple(words), tuple(suffix), tuple(prefix), tuple(map(tuple, left)),
         tuple(map(tuple, right)), index, names, generator_elements, compose_kind, prune_empty, empty,
     )
 
@@ -638,11 +635,13 @@ def quotient_semigroup(s, congruence):
         raise InvariantViolation("element classes are not a congruence")
     reps, left, right = graphs
     classes = congruence.classes()
-    # a first member's suffix is the first member of its own class: a shorter
-    # or earlier word for that class would give one for the member too
+    # a first member's suffix and prefix are the first members of their own
+    # classes: a shorter or earlier word for one of those classes would give
+    # one for the member too
     suffix = tuple(None if s.suffix[r] is None else b[s.suffix[r]] for r in reps)
+    prefix = tuple(None if s.prefix[r] is None else b[s.prefix[r]] for r in reps)
     q = RoleSemigroup(
-        classes, _pick(s.words, reps), suffix, left, right, None,
+        classes, _pick(s.words, reps), suffix, prefix, left, right, None,
         s.generator_names, _pick(b, s.generator_elements), s.compose_kind, s.prune_empty,
         None if s.empty is None else b[s.empty],
     )

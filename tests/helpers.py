@@ -22,7 +22,7 @@ from roleblock import (
     StructuralError,
     UndirectedHypergraph,
 )
-from roleblock.core import MAX_ORACLE_ACTORS, enumerate_partitions, signatures_agree
+from roleblock.core import MAX_ORACLE_ACTORS, enumerate_partitions
 from roleblock.documents import KINDS
 
 
@@ -346,9 +346,13 @@ def naive_closure(generators, compose, cap):
             col.append(left[f][g if rest is None else col[rest]])
         right.append(tuple(col))
 
+    # each word without its last letter is the word of an element: shortlex
+    # words are prefix-closed
+    by_word = {word: i for i, word in enumerate(words)}
+    prefix = tuple(by_word[word[:-1]] if len(word) > 1 else None for word in words)
     empty = next((z for z, el in enumerate(elements) if getattr(el, "is_empty", False)), None)
     s = RoleSemigroup(
-        tuple(elements), tuple(words), tuple(suffix), left, tuple(right), index, names,
+        tuple(elements), tuple(words), tuple(suffix), prefix, left, tuple(right), index, names,
         generator_elements, "custom", False, empty,
     )
     return s, calls
@@ -528,9 +532,25 @@ def naive_bruteforce(structures, actors):
     for p in enumerate_partitions(actors):
         if best is not None and p.num_blocks >= best.num_blocks:
             continue
-        if signatures_agree(structures, p):
+        if naive_signatures_agree(structures, p):
             best = p
     return best
+
+
+def naive_signatures_agree(structures, e):
+    """True when, in every structure, all actors of a block have one signature.
+
+    Signs one actor at a time through ``signature`` and stops at the first
+    actor whose signature differs from its block's first.
+    """
+    block_of = e.block_of
+    for s in structures:
+        first = {}
+        for i, b in enumerate(block_of):
+            sig = s.signature(i, block_of)
+            if first.setdefault(b, sig) != sig:
+                return False
+    return True
 
 
 class CountedSignatures:
@@ -547,6 +567,26 @@ class CountedSignatures:
 
     def support(self, i):
         return self.inner.support(i)
+
+
+class BulkOnly:
+    """A structure that forwards ``signatures`` to another and counts its calls and yields.
+
+    It offers only ``actors`` and ``signatures``, so a check can read it only
+    in one pass per structure.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.actors = inner.actors
+        self.calls = 0
+        self.yielded = 0
+
+    def signatures(self, image):
+        self.calls += 1
+        for sig in self.inner.signatures(image):
+            self.yielded += 1
+            yield sig
 
 
 class CountedEdges:

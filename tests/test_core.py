@@ -504,6 +504,55 @@ class TestSettledNodes:
             assert got == Partition.discrete(net.actors)
 
 
+class TestFirstSplit:
+    """Refinement starts from the seed split by label set; the partitions stay those of the naive rounds."""
+
+    def refined(self, structures, acts, seed=None):
+        got = refine(structures, acts, seed)
+        assert got == naive_refine(structures, acts, seed)
+        return got
+
+    def test_members_that_differ_only_in_their_label_sets(self):
+        # 0 and 1 each have one edge into {2, 3}, by different relations
+        acts = actors(4)
+        r = Relation(acts, [[2], [], [], []])
+        s = Relation(acts, [[], [3], [], []])
+        seed = Partition(acts, [0, 0, 1, 1])
+        assert self.refined([r, s], acts, seed) == Partition(acts, [0, 1, 2, 2])
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_one_label_set_for_every_node_moves_no_block(self, mode):
+        acts = actors(6)
+        net = MultiNetwork(acts, [("R", Relation(acts, [[(i + 1) % 6, (i + 2) % 6] for i in range(6)]))])
+        assert self.refined(list(net.views(mode)), acts) == Partition.universal(acts)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_the_empty_roster_and_one_actor(self, n):
+        acts = actors(n)
+        for rows in ([[]] * n, [[0]] * n):
+            assert self.refined([Relation(acts, rows)], acts) == Partition.universal(acts)
+        assert self.refined([], acts) == Partition.universal(acts)
+        fams = FHyperStructure(acts, [[[]]] * n)
+        assert self.refined([fams], acts) == Partition.universal(acts)
+
+    def test_an_empty_target_set_beside_actors_without_targets(self):
+        acts = actors(4)
+        h = FHyperStructure(acts, [[[]], [], [[]], []])
+        assert self.refined([h], acts) == Partition(acts, [0, 1, 0, 1])
+        # with a non-empty target the empty one's node splits from it
+        h = FHyperStructure(acts, [[[]], [], [[], [1]], [[2]]])
+        assert self.refined([h], acts) == Partition(acts, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("mode", ["out", "in", "both"])
+    def test_a_seed_whose_largest_piece_is_not_its_first_block(self, mode):
+        acts = actors(8)
+        net = MultiNetwork(acts, [("R", Relation(acts, [[1], [2], [3], [0], [5], [6], [7], [4]]))])
+        seed = Partition(acts, [0, 1, 1, 1, 1, 1, 2, 2])
+        self.refined(list(net.views(mode)), acts, seed)
+        seed = Partition(acts, [0, 1, 2, 3, 3, 3, 3, 3])
+        self.refined(list(net.views(mode)), acts, seed)
+
+
 # ── enumeration and brute force ──────────────────────────────────────────────
 
 class TestEnumeratePartitions:

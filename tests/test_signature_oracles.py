@@ -1,14 +1,15 @@
 """The shared structure code, pinned to naive oracles for both kinds.
 
-Regularity, blockmodels and reduction validation are written once over
-``signature`` and ``pushforward``, and refinement once over the edge view
-that ``successors`` gives.  Each result on random relations and F-structures
+Regularity and reduction validation are written once over ``signatures``,
+blockmodels over ``pushforward``, and refinement over the edge view that
+``successors`` gives.  Each result on random relations and F-structures
 (n <= 6) must equal the pairwise or edge-by-edge oracle in ``helpers`` or the
 brute-force search.  Seeded refinement is pinned to the round-based
 ``naive_refine`` beyond brute force's reach: graphs of up to 24 actors, some
 with hub rows, and F-structures that share target masks, on up to 2,000
 actors.  A refinement decodes each view once, and a hub costs it about
-what the paths it reads cost.
+what the paths it reads cost.  A check signs each view in one pass, up to
+its first failing actor, and each pass equals the per-actor signatures.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BulkOnly,
     CountedEdges,
     actors,
     naive_bruteforce,
@@ -55,7 +57,7 @@ from roleblock import (
     quotient_map,
     validate_positional_reduction,
 )
-from roleblock.core import refine
+from roleblock.core import refine, signatures_agree
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -117,6 +119,93 @@ def test_graph_refinement_equals_bruteforce(mode, rng):
 def test_hyper_refinement_equals_bruteforce(rng):
     mh = hyper(rng)
     assert max_regular_hyper_partition(mh) == coarsest_regular_hyper_bruteforce(mh)
+
+
+def per_actor(s, image):
+    return [s.signature(i, image) for i in range(len(s.actors))]
+
+
+def images(rng, net):
+    """Images of net's actors: two partitions' ``block_of`` and a map onto a smaller roster."""
+    acts = net.actors
+    m = rng.randint(1, max(1, len(acts) - 1))
+    onto = ActorMap(acts, actors(m, prefix="w"), [rng.randrange(m) for _ in range(len(acts))])
+    return [random_partition(rng, acts).block_of, Partition.discrete(acts).block_of, onto.image]
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_graph_signatures_equal_per_actor_signatures(rng):
+    net = graph(rng, n_max=10)
+    for r in net.relations.values():
+        for s in (r, r.transpose()):
+            for image in images(rng, net):
+                assert list(s.signatures(image)) == per_actor(s, image)
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_hyper_signatures_equal_per_actor_signatures(rng):
+    # empty targets, target sets shared by several actors and actors without
+    # targets all occur in ``two_sorted``
+    mh = two_sorted(rng) if rng.random() < 0.5 else hyper(rng, n_max=10)
+    for h in mh.relations.values():
+        for image in images(rng, mh):
+            assert list(h.signatures(image)) == per_actor(h, image)
+
+
+def bulk_views(monkeypatch, cls):
+    """Make ``cls.views`` hand out ``BulkOnly`` proxies; returns the list they are kept in."""
+    proxies, views = [], cls.views
+
+    def bulk(self, *mode):
+        made = [BulkOnly(s) for s in views(self, *mode)]
+        proxies.extend(made)
+        return made
+
+    monkeypatch.setattr(cls, "views", bulk)
+    return proxies
+
+
+@pytest.mark.parametrize("mode", ["out", "in", "fhyper"])
+def test_checks_and_validation_sign_each_view_in_one_pass(monkeypatch, mode):
+    rng = random.Random(7)
+    if mode == "fhyper":
+        net, mode, cls = random_multihyper(rng, n=12, k=2, max_target=3), "out", MultiHypergraph
+        e = max_regular_hyper_partition(net)
+    else:
+        net, cls = random_network(rng, n=12, k=2, density=0.2), MultiNetwork
+        e = max_regular_partition(net, mode)
+    f = quotient_map(e)
+    dst = pushforward_network(net, f)
+    structures = [BulkOnly(s) for s in net.views(mode)]
+    # e is regular, so every actor of every view is signed
+    assert signatures_agree(structures, e)
+    assert [(b.calls, b.yielded) for b in structures] == [(1, 12), (1, 12)]
+    proxies = bulk_views(monkeypatch, cls)
+    assert network_passes(net, e, mode)
+    assert [(b.calls, b.yielded) for b in proxies] == [(1, 12), (1, 12)]
+    proxies.clear()
+    assert validate_positional_reduction(f, net, dst, mode).ok
+    q = e.num_blocks
+    assert sorted((b.calls, b.yielded) for b in proxies) == [(1, q), (1, q), (1, 12), (1, 12)]
+
+
+def test_a_check_stops_at_the_first_failing_actor(monkeypatch):
+    # actor 1 has no out-edge and actor 0 has one, so the universal partition
+    # fails at the second actor signed
+    acts = actors(6)
+    e = Partition.universal(acts)
+    r = Relation(acts, [[1], [], [3], [4], [5], [0]])
+    h = FHyperStructure(acts, [[[1, 2]], [], [[3]], [[4]], [[5]], [[0]]])
+    for s in (r, h):
+        first, second = BulkOnly(s), BulkOnly(s)
+        assert not signatures_agree([first, second], e)
+        assert (first.calls, first.yielded, second.calls) == (1, 2, 0)
+    net = MultiNetwork(acts, [("R", r), ("S", r)])
+    proxies = bulk_views(monkeypatch, MultiNetwork)
+    assert not network_passes(net, e, "both")
+    assert [(b.calls, b.yielded) for b in proxies] == [(1, 2), (0, 0), (0, 0), (0, 0)]
 
 
 def with_hubs(rng, net):
