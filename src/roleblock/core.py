@@ -2,12 +2,13 @@
 
 A relation is a ``Structure`` whose part, one per actor, is a sorted tuple
 of distinct out-neighbour indices, O(n + m) for n actors and m pairs, which
-signatures, supports, refinement's edge view and pushforwards read as they
-are, and which the constructors build through ``canonical_indices``.  Int
-masks, bit j for actor j, are built only inside composition, where a role
-semigroup's small roster makes a row a machine word or two and a composite a
-few ORs.  Everything in this module is an immutable value: operations return
-fresh objects and never mutate their inputs.
+signatures, supports and refinement's edge view read as they are, and which
+the constructors build through ``canonical_indices``.  ``Structure`` pushes a
+structure of either kind forward along a map once, joining the signatures
+over each fibre.  Int masks, bit j for actor j, are built only inside
+composition, where a role semigroup's small roster makes a row a machine word
+or two and a composite a few ORs.  Everything in this module is an immutable
+value: operations return fresh objects and never mutate their inputs.
 """
 
 from collections import Counter
@@ -143,7 +144,8 @@ class Structure:
 
     A part is a row for a ``Relation`` and a family of target sets for an
     ``FHyperStructure``.  A subclass names parts with ``_noun``, makes one
-    canonical with ``_canonical_part(part, n)`` and weighs one with ``part_bits``.
+    canonical with ``_canonical_part(part, n)`` and weighs one with ``part_bits``;
+    ``pushforward`` joins the sets that its ``signatures`` yields.
     """
 
     __slots__ = ("actors", "parts", "_hash")
@@ -169,6 +171,16 @@ class Structure:
     @property
     def is_empty(self):
         return not any(self.parts)
+
+    def pushforward(self, image, target):
+        """The structure on ``target`` along ``image``: its part at b is F(image)
+        of every part over b, joined, so a relation gets (image[i], image[j]) for
+        each pair (i, j) and an F-structure (image[a], image[U]) for each (a, U)."""
+        check_image(image, self.actors, target)
+        parts = [set() for _ in range(len(target))]
+        for b, sig in zip(image, self.signatures(image)):
+            parts[b] |= sig
+        return type(self)(target, parts)
 
     def stored_bits(self):
         """What the structure keeps, in bits: the sum of ``part_bits`` over its parts."""
@@ -266,14 +278,6 @@ class Relation(Structure):
         """
         return self.out
 
-    def pushforward(self, image, target):
-        """Image relation on ``target``: (image[i], image[j]) for every pair (i, j)."""
-        check_image(image, self.actors, target)
-        out = [set() for _ in range(len(target))]
-        for i, row in enumerate(self.out):
-            out[image[i]].update(map(image.__getitem__, row))
-        return Relation._from_canonical(target, [tuple(sorted(s)) for s in out])
-
     def __repr__(self):
         return f"Relation({sorted(self.label_pairs())!r})"
 
@@ -308,7 +312,8 @@ class Partition:
                 if not (0 <= i < len(actors)):
                     raise StructuralError(f"actor index {i} out of range")
                 if block_of[i] is not None:
-                    raise StructuralError(f"actor {actors.labels[i]!r} occurs in two blocks")
+                    where = "twice in one block" if block_of[i] == b else "in two blocks"
+                    raise StructuralError(f"actor {actors.labels[i]!r} occurs {where}")
                 block_of[i] = b
         missing = [actors.labels[i] for i, b in enumerate(block_of) if b is None]
         if missing:
@@ -353,10 +358,11 @@ class MultiStructure:
     """One actor roster carrying named structures, in declaration order.
 
     A structure is a ``Relation`` or an ``FHyperStructure``, each a ``Structure``
-    that reads its own kind of part in ``signature``, ``support``,
-    ``successors`` and ``pushforward``.  The shared regularity, refinement,
+    that reads its own kind of part in ``signature``, ``signatures``,
+    ``support`` and ``successors``.  The shared regularity, refinement,
     brute-force and validation code reads the structures that ``views``
-    selects, and a blockmodel pushes each forward.
+    selects, and a blockmodel pushes each forward through the one
+    ``Structure.pushforward``.
     """
 
     __slots__ = ("actors", "relations")

@@ -9,7 +9,8 @@ O(n + m) in all for n actors and m target members.  The constructor builds
 that form through ``_canonical_family``, one ``core.canonical_indices`` call
 per set, which checks that every index lies in range(n); the document
 decoder and the computed structures build it from indices already in range.
-Everything but ``loose_compose`` reads the stored tuples as they are.  An
+Everything but ``loose_compose`` reads the stored tuples as they are, and
+``core.Structure`` pushes an F-structure forward as it does a relation.  An
 empty target set, the empty tuple, is a legal hyperedge target and is
 distinct from an actor having no hyperedges.
 
@@ -29,7 +30,6 @@ from .core import (
     blockmodel_network,
     bruteforce,
     canonical_indices,
-    check_image,
     index_mask,
     mask_members,
     refine,
@@ -131,22 +131,6 @@ class FHyperStructure(Structure):
         """
         n = len(self.actors)
         return [tuple(nodes.setdefault(t, n + len(nodes)) for t in family) for family in self.targets]
-
-    def pushforward(self, image, target):
-        """Image structure on ``target``: (image[a], image[U]) for every hyperedge (a, U)."""
-        check_image(image, self.actors, target)
-        get = image.__getitem__
-        fams = [set() for _ in range(len(target))]
-        seen = {}  # each distinct target set's image, made once
-        for a, family in enumerate(self.targets):
-            if family:
-                fam = fams[image[a]]
-                for t in family:
-                    u = seen.get(t)
-                    if u is None:
-                        u = seen[t] = tuple(sorted(set(map(get, t))))
-                    fam.add(u)
-        return FHyperStructure._from_canonical(target, [tuple(sorted(f)) for f in fams])
 
     def __repr__(self):
         return f"FHyperStructure({self.label_edges()!r})"

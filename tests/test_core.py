@@ -104,7 +104,16 @@ class TestRelation:
 class TestStructure:
     """``Relation`` and ``FHyperStructure`` share storage and identity through ``Structure``."""
 
-    SHARED = {"__init__", "_from_canonical", "__eq__", "__hash__", "stored_bits", "is_empty", "edges"}
+    SHARED = {
+        "__init__",
+        "_from_canonical",
+        "__eq__",
+        "__hash__",
+        "stored_bits",
+        "is_empty",
+        "edges",
+        "pushforward",
+    }
 
     def test_subclasses_define_none_of_the_shared_members(self):
         source = Path(roleblock.__file__).parent
@@ -169,6 +178,10 @@ class TestPartition:
             Partition.from_label_blocks(acts, [["v0", "v1"]])
         with pytest.raises(StructuralError, match="two blocks"):
             Partition.from_label_blocks(acts, [["v0", "v1"], ["v1", "v2"]])
+
+    def test_a_label_repeated_within_one_block_is_named_as_such(self):
+        with pytest.raises(StructuralError, match="^actor 'v0' occurs twice in one block$"):
+            Partition.from_label_blocks(actors(3), [["v0", "v0", "v1", "v2"]])
 
     def test_refines(self):
         acts = actors(4)

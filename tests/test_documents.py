@@ -180,6 +180,11 @@ class TestPartitionDocuments:
                 {"blocks": [["a", "b"], ["b", "d"]]}, net.actors
             )
 
+    def test_repeat_within_one_block_rejected(self):
+        net = family_three()
+        with pytest.raises(InputError, match="'a' occurs twice in one block"):
+            documents.partition_from_doc({"blocks": [["a", "a", "b", "d"]]}, net.actors)
+
     def test_unknown_label_rejected(self):
         net = family_three()
         with pytest.raises(InputError, match="'z'"):
