@@ -7,6 +7,7 @@ Primary results go to standard output, diagnostics to standard error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -67,14 +68,6 @@ def _load_multirelational(path):
     return _multirelational(documents.load_network(path), path)
 
 
-def _write_output(text, path):
-    """Write ``text`` to the file at ``path``, or to standard output when there is none."""
-    if path:
-        documents.write_text(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _resolve_mode(mode, net):
     if isinstance(net, MultiHypergraph):
         if mode is not None:
@@ -130,9 +123,15 @@ def _cmd_blockmodel(args):
         quotient = blockmodel_network(net, e)
     else:
         quotient = blockmodel_multihypergraph(net, e)
-    _write_output(documents.dumps_canonical(documents.network_to_doc(quotient)), args.output)
-    if args.dot:
-        documents.write_text(args.dot, export_dot(quotient))
+    text = documents.dumps_canonical(documents.network_to_doc(quotient))
+    # every file is written before any replaces its target; standard output comes last
+    with contextlib.ExitStack() as files:
+        if args.output:
+            files.enter_context(documents.replacing(args.output)).write(text)
+        if args.dot:
+            files.enter_context(documents.replacing(args.dot)).write(export_dot(quotient))
+    if not args.output:
+        sys.stdout.write(text)
     return 0
 
 
@@ -232,7 +231,11 @@ def _cmd_convert(args):
         raise InputError(f"{args.undirected}: expected kind 'undirected'")
     h = from_undirected(net)
     out = MultiHypergraph(net.actors, [("H", h)])
-    _write_output(documents.dumps_canonical(documents.network_to_doc(out)), args.output)
+    text = documents.dumps_canonical(documents.network_to_doc(out))
+    if args.output:
+        documents.write_text(args.output, text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

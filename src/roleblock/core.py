@@ -2,13 +2,15 @@
 
 A relation is a ``Structure`` whose part, one per actor, is a sorted tuple
 of distinct out-neighbour indices, O(n + m) for n actors and m pairs, which
-signatures, supports and refinement's edge view read as they are, and which
-the constructors build through ``canonical_indices``.  ``Structure`` pushes a
-structure of either kind forward along a map once, joining the signatures
-over each fibre.  Int masks, bit j for actor j, are built only inside
-composition, where a role semigroup's small roster makes a row a machine word
-or two and a composite a few ORs.  Everything in this module is an immutable
-value: operations return fresh objects and never mutate their inputs.
+signatures, supports and refinement's edge view read as they are.  Each kind
+has one normaliser, ``_normal_part``, from in-range index lists to its part
+(for a row, ``sorted_distinct``), which the constructor applies after
+``in_range`` and ``Structure._from_indices`` applies unchecked, as
+``pushforward`` does to the signatures it joins over each fibre.  Int masks,
+bit j for actor j, are built only inside composition, where a role
+semigroup's small roster makes a row a machine word or two and a composite a
+few ORs.  Everything in this module is an immutable value: operations return
+fresh objects and never mutate their inputs.
 """
 
 from collections import Counter
@@ -40,23 +42,27 @@ def mask_members(mask):
 
 
 def sorted_distinct(items):
-    """A list of hashable, ordered items as a sorted tuple of its distinct items."""
+    """An iterable of hashable, ordered items as a sorted tuple of its distinct items."""
+    try:
+        size = len(items)
+    except TypeError:  # an iterator
+        return tuple(sorted(set(items)))
     # most rows and families of a sparse network hold one or two items, and
     # a pair is put in order with no set or list made
-    if len(items) == 2:
+    if size == 2:
         a, b = items
         return (a, b) if a < b else (b, a) if b < a else (a,)
-    return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
+    return tuple(items) if size < 2 else tuple(sorted(set(items)))
 
 
-def canonical_indices(items, n, what):
-    """An iterable of indices as a sorted tuple of distinct ones, each in range(n).
+def in_range(indices, n, what):
+    """An iterable of indices as a list, each checked to lie in range(n).
 
     The error names the smallest index out of range; ``what`` names the index.
     """
-    t = tuple(sorted(set(items)))
-    if t and (t[0] < 0 or t[-1] >= n):
-        j = next(j for j in t if not 0 <= j < n)
+    t = list(indices)
+    if t and not (0 <= min(t) and max(t) < n):
+        j = min(t) if min(t) < 0 else min(j for j in t if j >= n)
         raise StructuralError(f"{what} index {j} out of range for {n} actors")
     return t
 
@@ -143,9 +149,9 @@ class Structure:
     """One part per actor of an ActorSet, a coalgebra X -> F(X): ``parts[i]`` is i's part.
 
     A part is a row for a ``Relation`` and a family of target sets for an
-    ``FHyperStructure``.  A subclass names parts with ``_noun``, makes one
-    canonical with ``_canonical_part(part, n)`` and weighs one with ``part_bits``;
-    ``pushforward`` joins the sets that its ``signatures`` yields.
+    ``FHyperStructure``.  A subclass names parts with ``_noun``, checks one with
+    ``_in_range(part, n)``, makes one canonical with ``_normal_part`` and weighs
+    one with ``part_bits``; ``pushforward`` joins the sets its ``signatures`` yields.
     """
 
     __slots__ = ("actors", "parts", "_hash")
@@ -156,17 +162,22 @@ class Structure:
         if len(parts) != n:
             raise StructuralError(f"expected {n} {self._noun}, got {len(parts)}")
         self.actors = actors
-        self.parts = tuple(self._canonical_part(part, n) for part in parts)
+        self.parts = tuple(self._normal_part(self._in_range(part, n)) for part in parts)
         self._hash = None
 
     @classmethod
     def _from_canonical(cls, actors, parts):
-        """Build from one part per actor, each already in the form ``_canonical_part`` gives."""
+        """Build from one part per actor, each already in the form ``_normal_part`` gives."""
         s = cls.__new__(cls)
         s.actors = actors
         s.parts = tuple(parts)
         s._hash = None
         return s
+
+    @classmethod
+    def _from_indices(cls, actors, parts):
+        """Build from one part per actor, in-range index lists, put through ``_normal_part``."""
+        return cls._from_canonical(actors, map(cls._normal_part, parts))
 
     @property
     def is_empty(self):
@@ -180,7 +191,7 @@ class Structure:
         parts = [set() for _ in range(len(target))]
         for b, sig in zip(image, self.signatures(image)):
             parts[b] |= sig
-        return type(self)(target, parts)
+        return self._from_indices(target, parts)
 
     def stored_bits(self):
         """What the structure keeps, in bits: the sum of ``part_bits`` over its parts."""
@@ -216,10 +227,11 @@ class Relation(Structure):
     _noun = "rows"
     out = Structure.parts
     pairs = Structure.edges
+    _normal_part = staticmethod(sorted_distinct)
 
     @staticmethod
-    def _canonical_part(row, n):
-        return canonical_indices(row, n, "out-neighbour")
+    def _in_range(row, n):
+        return in_range(row, n, "out-neighbour")
 
     @classmethod
     def from_pairs(cls, actors, pairs):
@@ -229,7 +241,7 @@ class Relation(Structure):
             if not (0 <= i < n and 0 <= j < n):
                 raise StructuralError(f"pair ({i}, {j}) out of range for {n} actors")
             out[i].append(j)
-        return cls._from_canonical(actors, map(sorted_distinct, out))
+        return cls._from_indices(actors, out)
 
     @classmethod
     def from_label_pairs(cls, actors, pairs):

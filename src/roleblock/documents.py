@@ -6,12 +6,13 @@ order; saving a loaded document therefore canonicalizes it in one pass.
 
 A valid network, partition or roster is decoded in one pass that trusts it:
 types are checked in bulk, and each edge's labels are resolved and stored in
-one tight loop, straight into index lists that the structure constructors
-put in canonical form.  When anything in that pass fails, a checking pass
-runs from scratch, only to name the error.  Errors come in a fixed order, the
-order of a shape pass followed by a label pass: relations one after another;
-within a relation, a malformed edge anywhere before the first unknown label;
-relation names only once every relation has been read.
+one tight loop, straight into index lists that each structure kind's
+``_from_indices`` puts in canonical form.  When anything in that pass fails,
+a checking pass runs from scratch, only to name the error; it builds nothing.
+Errors come in a fixed order, the order of a shape pass followed by a label
+pass: relations one after another; within a relation, a malformed edge
+anywhere before the first unknown label; relation names only once every
+relation has been read.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import json
 import os
 from itertools import chain, islice
 
-from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation, sorted_distinct
+from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation
 from .errors import InputError, StructuralError
 from .hypergraph import FHyperStructure, MultiHypergraph, UndirectedHypergraph
 from .reduction import ActorMap
@@ -104,8 +105,9 @@ def replacing(path):
     The text goes to a fresh file beside the target, which replaces the
     target in one step when the ``with`` block ends; if anything fails, the
     target keeps its old content and the fresh file is removed.  An
-    ``OSError`` names ``path``, not the fresh file.  Writes leave the
-    process in 64 KiB pieces, however small the pieces written.
+    ``OSError`` on the fresh file names ``path``; one on another file passes
+    as it is.  Writes leave the process in 64 KiB pieces, however small the
+    pieces written.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -120,7 +122,7 @@ def replacing(path):
             os.unlink(tmp)
             raise
     except OSError as exc:
-        if exc.errno is None:
+        if exc.errno is None or exc.filename not in (None, tmp):
             raise
         raise type(exc)(exc.errno, exc.strerror, path) from None
 
@@ -172,12 +174,12 @@ def network_from_doc(doc, source="<input>"):
 
 # The two relation decoders first try one pass that trusts the document: it
 # checks the edges' types in bulk and resolves and stores each edge in a tight
-# loop.  A lookup that fails there (an unknown or non-string label, an edge of
-# the wrong length or type) drops that pass, and the checking pass runs from
-# scratch, only to name the error: a shape pass over every edge, then a label
-# pass, so a malformed edge anywhere in the relation is reported before the
-# first unknown label.  Every index they collect comes from the roster's
-# index, so it is in range, and the stored form is built straight from them.
+# loop, straight into in-range indices for ``_from_indices``.  A lookup that
+# fails there (an unknown or non-string label, an edge of the wrong length or
+# type) drops that pass.  The checking pass then only names the error: a shape
+# pass over every edge, then the first unknown label in edge order, a source
+# before its targets.  Its shape pass takes lists and objects to be exactly
+# those types, as the trusting pass does, so no edge list passes it unnamed.
 
 def _relation(actors, edges, where):
     index = actors.index
@@ -189,20 +191,15 @@ def _relation(actors, edges, where):
         except (KeyError, TypeError, ValueError):
             pass
         else:
-            return Relation._from_canonical(actors, map(sorted_distinct, out))
+            return Relation._from_indices(actors, out)
     for edge in edges:
         if not (
-            isinstance(edge, list) and len(edge) == 2
+            type(edge) is list and len(edge) == 2
             and isinstance(edge[0], str) and isinstance(edge[1], str)
         ):
             raise InputError(f"{where}: edge {edge!r} is not a [src, tgt] pair")
-    out = [[] for _ in range(len(actors))]
-    for a, b in edges:
-        i, j = index.get(a), index.get(b)
-        if i is None or j is None:
-            raise InputError(f"{where}: unknown actor {(a if i is None else b)!r}")
-        out[i].append(j)
-    return Relation._from_canonical(actors, map(sorted_distinct, out))
+    unknown = next(x for edge in edges for x in edge if x not in index)
+    raise InputError(f"{where}: unknown actor {unknown!r}")
 
 
 def _hyper_structure(actors, edges, where):
@@ -217,36 +214,21 @@ def _hyper_structure(actors, edges, where):
                     break
                 families[resolve(edge["src"])].append(list(map(resolve, tgt)))
             else:
-                return _families(actors, families)
+                return FHyperStructure._from_indices(actors, families)
         except (KeyError, TypeError):
             pass
     for edge in edges:
-        src, tgt = (edge.get("src"), edge.get("tgt")) if isinstance(edge, dict) else (None, None)
+        src, tgt = (edge.get("src"), edge.get("tgt")) if type(edge) is dict else (None, None)
         if not (
-            isinstance(src, str) and isinstance(tgt, list)
+            isinstance(src, str) and type(tgt) is list
             and all(isinstance(x, str) for x in tgt)
         ):
             raise InputError(
                 f"{where}: hyperedge {edge!r} must be "
                 '{"src": label, "tgt": [labels]}'
             )
-    families = [[] for _ in range(len(actors))]
-    for edge in edges:
-        src, tgt = edge["src"], edge["tgt"]
-        a = index.get(src)
-        members = list(map(index.get, tgt))
-        if a is None or None in members:
-            unknown = src if a is None else tgt[members.index(None)]
-            raise InputError(f"{where}: unknown actor {unknown!r}")
-        families[a].append(members)
-    return _families(actors, families)
-
-
-def _families(actors, families):
-    """The F-structure of one list of index lists per actor, put in canonical form."""
-    return FHyperStructure._from_canonical(
-        actors, [sorted_distinct(list(map(sorted_distinct, family))) for family in families]
-    )
+    unknown = next(x for edge in edges for x in [edge["src"], *edge["tgt"]] if x not in index)
+    raise InputError(f"{where}: unknown actor {unknown!r}")
 
 
 def _undirected(actors, edges, source):

@@ -5,10 +5,10 @@ An F-hypergraph assigns to each actor a family of target sets, and an
 target set is stored as a sorted tuple of distinct actor indices, and each
 actor's family as a sorted tuple of distinct target sets (set-of-sets
 semantics: duplicate targets collapse, multiplicity is never tracked),
-O(n + m) in all for n actors and m target members.  The constructor builds
-that form through ``_canonical_family``, one ``core.canonical_indices`` call
-per set, which checks that every index lies in range(n); the document
-decoder and the computed structures build it from indices already in range.
+O(n + m) in all for n actors and m target members.  The one normaliser,
+``FHyperStructure._normal_part``, makes that form from in-range index lists:
+``core.sorted_distinct`` on each target set, then on the family.  An
+``UndirectedHypergraph`` keeps its hyperedges in the form of one family.
 Everything but ``loose_compose`` reads the stored tuples as they are, and
 ``core.Structure`` pushes an F-structure forward as it does a relation.  An
 empty target set, the empty tuple, is a legal hyperedge target and is
@@ -29,22 +29,14 @@ from .core import (
     Structure,
     blockmodel_network,
     bruteforce,
-    canonical_indices,
+    in_range,
     index_mask,
     mask_members,
     refine,
     signatures_agree,
+    sorted_distinct,
 )
 from .errors import StructuralError
-
-
-def _canonical_family(family, n, what):
-    """A family of index sets as a sorted tuple of distinct sorted index tuples.
-
-    Every index must lie in range(n); the error names the first one that does
-    not, taking the sets in the order given and each set in sorted order.
-    """
-    return tuple(sorted({canonical_indices(t, n, what) for t in family}))
 
 
 class FHyperStructure(Structure):
@@ -59,8 +51,13 @@ class FHyperStructure(Structure):
     targets = Structure.parts
 
     @staticmethod
-    def _canonical_part(family, n):
-        return _canonical_family(family, n, "target")
+    def _in_range(family, n):
+        # set by set in the order given: the first set given that is out of range is named
+        return [in_range(t, n, "target") for t in family]
+
+    @staticmethod
+    def _normal_part(family):
+        return sorted_distinct(list(map(sorted_distinct, family)))
 
     @classmethod
     def from_edges(cls, actors, edges):
@@ -146,7 +143,8 @@ class UndirectedHypergraph:
 
     def __init__(self, actors, hyperedges):
         self.actors = actors
-        self.hyperedges = _canonical_family(hyperedges, len(actors), "vertex")
+        checked = [in_range(w, len(actors), "vertex") for w in hyperedges]
+        self.hyperedges = FHyperStructure._normal_part(checked)
 
     @classmethod
     def from_label_edges(cls, actors, hyperedges):
@@ -198,14 +196,12 @@ def from_undirected(u):
 
     Every hyperedge W contributes, for each member a, the hyperedge
     (a, W minus {a}); a singleton hyperedge {a} therefore becomes (a, ()).
-    Distinct hyperedges through a give distinct targets, so each family only
-    needs sorting.
     """
     fams = [[] for _ in range(len(u.actors))]
     for w in u.hyperedges:
         for a in w:
             fams[a].append(tuple(x for x in w if x != a))
-    return FHyperStructure._from_canonical(u.actors, [tuple(sorted(f)) for f in fams])
+    return FHyperStructure._from_indices(u.actors, fams)
 
 
 def is_graph_like(h):

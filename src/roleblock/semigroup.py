@@ -421,12 +421,17 @@ def find_identity(s):
     return _first_zero_or_identity(s, [e for e, g in enumerate(row) if g == 0], zero=False)
 
 
-def _display_labels(s):
-    # every element's ``display_label``, from one ``word_labels`` pass
+def _labelled_rows(s, form):
+    """The nonzero elements' labels, ``form`` of each ``display_label``, and an
+    iterator of (label, row of labels) per nonzero element, without the zero's column."""
     labels = list(s.word_labels())
     if s.absorbing is not None:
         labels[s.absorbing] = "0"
-    return labels
+    shown = list(map(form, labels))
+    idxs = s.nonzero_indices()
+    zero, n = s.absorbing, len(idxs)
+    rows = ((shown[x], row[:n]) for x, row in enumerate(_rows(s, shown, zero)) if x != zero)
+    return [shown[i] for i in idxs], rows
 
 
 def multiplication_table(s):
@@ -435,11 +440,8 @@ def multiplication_table(s):
     The absorbing element's row and column are omitted; entries landing on it
     render as "0".
     """
-    shown = _display_labels(s)
-    idxs = s.nonzero_indices()
-    zero, n = s.absorbing, len(idxs)
-    grid = [list(row[:n]) for x, row in enumerate(_rows(s, shown, zero)) if x != zero]
-    return [shown[i] for i in idxs], grid
+    labels, rows = _labelled_rows(s, str)
+    return labels, [list(row) for _, row in rows]
 
 
 def _csv_field(label):
@@ -462,13 +464,10 @@ def render_table_csv(s, write=None):
         lines = []
         render_table_csv(s, lines.append)
         return "".join(lines)
-    shown = list(map(_csv_field, _display_labels(s)))
-    idxs = s.nonzero_indices()
-    zero, n = s.absorbing, len(idxs)
-    write(",".join(["*"] + [shown[i] for i in idxs]) + "\n")
-    for x, row in enumerate(_rows(s, shown, zero)):
-        if x != zero:
-            write(shown[x] + "," + ",".join(row[:n]) + "\n")
+    labels, rows = _labelled_rows(s, _csv_field)
+    write(",".join(["*"] + labels) + "\n")
+    for label, row in rows:
+        write(label + "," + ",".join(row) + "\n")
 
 
 def _generator_graphs(s):

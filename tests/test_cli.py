@@ -879,9 +879,14 @@ ROLES = ["roles", "--network", "net.json", "--compose", "graph"]
         BLOCKMODEL + ["-o", "out"],
         BLOCKMODEL + ["-o", "nodir/q.json"],
         BLOCKMODEL + ["--dot", "nodir/q.dot"],
+        BLOCKMODEL + ["-o", "q.json", "--dot", "nodir/q.dot"],
+        BLOCKMODEL + ["--dot", "q.dot", "-o", "nodir/q.json"],
         ROLES + ["--table", "nodir/t.csv"],
     ],
-    ids=["o-directory", "o-missing-dir", "dot-missing-dir", "table-missing-dir"],
+    ids=[
+        "o-directory", "o-missing-dir", "dot-missing-dir", "o-then-dot-missing-dir",
+        "dot-then-o-missing-dir", "table-missing-dir",
+    ],
 )
 def test_unwritable_output_error_names_the_given_path(files, capsys, monkeypatch, argv):
     tmp_path, wn, wp, _ = files

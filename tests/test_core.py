@@ -107,6 +107,7 @@ class TestStructure:
     SHARED = {
         "__init__",
         "_from_canonical",
+        "_from_indices",
         "__eq__",
         "__hash__",
         "stored_bits",

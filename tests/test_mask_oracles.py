@@ -125,6 +125,49 @@ def test_undirected_masks_match_the_tuple_form(job):
     assert from_undirected(u) == FHyperStructure.from_edges(acts, directed)
 
 
+# an iterable in each form the constructors take; a generator has no length
+FORMS = {
+    "list": list,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda items: (x for x in items),
+}
+
+
+@SETTINGS
+@given(
+    raw_structures(count=1),
+    st.tuples(
+        st.sampled_from(["list", "generator"]),  # one part per actor, in actor order
+        st.sampled_from(sorted(FORMS)),
+        st.sampled_from(sorted(FORMS)),
+    ),
+)
+def test_from_indices_matches_the_checking_constructor(job, forms):
+    """In-range index lists, with repeats, in any order and in any form, give
+    one structure through ``_from_indices``, the constructor and the reference."""
+    n, (raw,) = job
+    outer, middle, inner = map(FORMS.get, forms)
+    if forms[1] in ("set", "frozenset") and forms[2] in ("list", "set"):
+        inner = frozenset  # the target sets of a family given as a set must hash
+    acts = actors(n)
+    rows = [[j for t in family for j in t] for family in raw]
+    one_set_families = naive_canonical_families([[row] for row in rows], n, "out-neighbour")
+    cases = [
+        (Relation, lambda: outer([middle(row) for row in rows]), tuple(f[0] for f in one_set_families)),
+        (
+            FHyperStructure,
+            lambda: outer([middle([inner(t) for t in family]) for family in raw]),
+            naive_canonical_families(raw, n, "target"),
+        ),
+    ]
+    for kind, given_parts, expected in cases:
+        trusted = kind._from_indices(acts, given_parts())
+        assert trusted.parts == expected
+        assert trusted == kind(acts, given_parts())
+        assert hash(trusted) == hash(kind(acts, given_parts()))
+
+
 def _error(build, *args):
     try:
         build(*args)
