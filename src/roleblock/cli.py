@@ -117,6 +117,7 @@ def _cmd_max_regular(args):
 
 
 def _cmd_blockmodel(args):
+    documents.check_outputs(args.output, args.dot)
     net = _load_multirelational(args.network)
     e = documents.load_partition(args.partition, net.actors)
     if isinstance(net, MultiNetwork):
@@ -143,6 +144,8 @@ def _cmd_roles(args):
     and are written one at a time.  With ``--table -`` the CSV table takes
     standard output, so the summary and the word lines go to standard error.
     """
+    if args.table != "-":
+        documents.check_outputs(args.table)
     net = _load_multirelational(args.network)
     s = role_semigroup(net, args.compose, prune_empty=args.prune_empty, cap=args.cap)
 
@@ -226,6 +229,7 @@ def _cmd_functor_check(args):
 
 
 def _cmd_convert(args):
+    documents.check_outputs(args.output)
     net = documents.load_network(args.undirected)
     if not isinstance(net, UndirectedHypergraph):
         raise InputError(f"{args.undirected}: expected kind 'undirected'")

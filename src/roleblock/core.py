@@ -2,7 +2,8 @@
 
 A relation is a ``Structure`` whose part, one per actor, is a sorted tuple
 of distinct out-neighbour indices, O(n + m) for n actors and m pairs, which
-signatures, supports and refinement's edge view read as they are.  Each kind
+signatures, supports and refinement's edge view read as they are, and a
+``Converse`` reads backwards, from the same rows.  Each kind
 has one normaliser, ``_normal_part``, from in-range index lists to its part
 (for a row, ``sorted_distinct``), which the constructor applies after
 ``in_range`` and ``Structure._from_indices`` applies unchecked, as
@@ -87,6 +88,14 @@ def check_indices(image, m, what):
     if image and not (0 <= min(image) and max(image) < m):
         v = next(v for v in image if not 0 <= v < m)
         raise StructuralError(f"image index {v} out of range for {m} {what}")
+
+
+def fibre_unions(image, sets, m):
+    """For each b in range(m), the union of ``sets`` over the fibre of b under ``image``."""
+    out = [set() for _ in range(m)]
+    for b, items in zip(image, sets):
+        out[b] |= items
+    return out
 
 
 def canonical_blocks(block_of):
@@ -188,10 +197,7 @@ class Structure:
         of every part over b, joined, so a relation gets (image[i], image[j]) for
         each pair (i, j) and an F-structure (image[a], image[U]) for each (a, U)."""
         check_image(image, self.actors, target)
-        parts = [set() for _ in range(len(target))]
-        for b, sig in zip(image, self.signatures(image)):
-            parts[b] |= sig
-        return self._from_indices(target, parts)
+        return self._from_indices(target, fibre_unions(image, self.signatures(image), len(target)))
 
     def stored_bits(self):
         """What the structure keeps, in bits: the sum of ``part_bits`` over its parts."""
@@ -294,6 +300,65 @@ class Relation(Structure):
         return f"Relation({sorted(self.label_pairs())!r})"
 
 
+class Converse:
+    """A relation read backwards from its own rows: i's part is its in-neighbours.
+
+    It offers what a view offers, ``signature``, ``signatures``, ``support``
+    and ``successors``, and holds only the relation: ``signatures`` makes
+    every actor's set in one pass over ``out``, and ``successors`` hands
+    itself to ``refine``'s edge view, which reads the rows backwards.  Only
+    ``signature`` and ``support``, the brute-force oracle's one-actor reads,
+    build the in-rows, once, on their first call.
+    """
+
+    __slots__ = ("relation", "_rows")
+
+    def __init__(self, relation):
+        self.relation = relation
+        self._rows = None
+
+    @property
+    def actors(self):
+        return self.relation.actors
+
+    def _in_rows(self):
+        rows = self._rows
+        if rows is None:
+            rows = [[] for _ in self.relation.out]
+            for v, row in enumerate(self.relation.out):
+                for u in row:
+                    rows[u].append(v)
+            rows = self._rows = tuple(map(tuple, rows))
+        return rows
+
+    def signature(self, i, image):
+        """The images of i's in-neighbours under ``image`` (a sequence of indices)."""
+        return frozenset(map(image.__getitem__, self._in_rows()[i]))
+
+    def signatures(self, image):
+        """Every actor's ``signature`` under ``image``, in actor order, each as a set.
+
+        An edge u -> v of the relation adds ``image[u]`` to v's set.
+        """
+        out = self.relation.out
+        sigs = [set() for _ in out]
+        for b, row in zip(image, out):
+            for v in row:
+                sigs[v].add(b)
+        return iter(sigs)
+
+    def support(self, i):
+        """The actors that i's signature reads: its in-neighbours, in index order."""
+        return self._in_rows()[i]
+
+    def successors(self, nodes):
+        """Itself: ``refine``'s edge view reads the relation's rows backwards.
+
+        A relation has no target sets, so it adds nothing to ``nodes``.
+        """
+        return self
+
+
 class Partition:
     """A partition of an ActorSet with first-occurrence canonical block numbering."""
 
@@ -371,7 +436,8 @@ class MultiStructure:
 
     A structure is a ``Relation`` or an ``FHyperStructure``, each a ``Structure``
     that reads its own kind of part in ``signature``, ``signatures``,
-    ``support`` and ``successors``.  The shared regularity, refinement,
+    ``support`` and ``successors``; a ``Converse`` reads a relation's rows
+    backwards through the same four methods.  The shared regularity, refinement,
     brute-force and validation code reads the structures that ``views``
     selects, and a blockmodel pushes each forward through the one
     ``Structure.pushforward``.
@@ -418,13 +484,13 @@ class MultiNetwork(MultiStructure):
     __slots__ = ()
 
     def views(self, mode="both"):
-        """The relations ("out"), their transposes ("in") or both, each transpose built lazily."""
+        """The relations ("out"), their ``Converse`` readers ("in") or both."""
         if mode not in MODES:
             raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
         rels = self.relations.values()
         return chain(
             rels if mode != "in" else (),
-            map(Relation.transpose, rels) if mode != "out" else (),
+            map(Converse, rels) if mode != "out" else (),
         )
 
 
@@ -593,7 +659,7 @@ def is_outward_regular(r, e):
 
 def is_inward_regular(r, e):
     """Mirror of the outward check with every edge reversed."""
-    return signatures_agree([r.transpose()], e)
+    return signatures_agree([Converse(r)], e)
 
 
 def is_regular(r, e):
@@ -619,9 +685,12 @@ def _predecessors(structures, actors):
     nodes in all, or ~(l * N + u) when it is u's only edge with label l.
     Returns ``pred``, N, the number of labels, each node's label set as a
     mask (bit l when it has an edge labelled l) and ``degree``, which maps
-    each entry of two or more edges to their number.  No structure is kept,
-    so a transpose made by ``views`` is freed before the refinement rounds
-    start.
+    each entry of two or more edges to their number.
+
+    When ``successors`` gives a ``Converse``, its label reads the relation's
+    rows backwards: u's in-degrees come from one pass over ``out``, and
+    ``pred[v]`` is ``out[v]``'s entries.  Each entry is one int object,
+    shared by every list it is in.
     """
     nodes = {}
     lists = []
@@ -636,6 +705,25 @@ def _predecessors(structures, actors):
     degree = {}
     for t, out in enumerate(lists):
         bit, base = 1 << t, t * size
+        if isinstance(out, Converse):
+            rows = out.relation.out
+            entries = [0] * n  # first each actor's in-degree, then its entry
+            for row in rows:
+                for u in row:
+                    entries[u] += 1
+            for u, d in enumerate(entries):
+                if d:
+                    label_sets[u] |= bit
+                    entry = base + u
+                    if d == 1:
+                        entries[u] = ~entry
+                    else:
+                        degree[entry] = d
+                        entries[u] = entry
+            for preds, row in zip(pred, rows):
+                for u in row:
+                    preds.append(entries[u])
+            continue
         for u, vs in enumerate(out, n if t == k else 0):
             if vs:
                 label_sets[u] |= bit

@@ -127,6 +127,20 @@ def replacing(path):
         raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
+def check_outputs(*paths):
+    """Raise ``InputError`` before anything is written unless each output path given
+    (``None`` is skipped) can be replaced: none is an existing directory, and no
+    two resolve to one file.  The error names the path as given."""
+    seen = {}
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise InputError(f"output path {path!r} is a directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"output paths {seen[real]!r} and {path!r} name one file")
+        seen[real] = path
+
+
 def write_text(path, text):
     """Write ``text`` to ``path`` whole or not at all (see ``replacing``)."""
     with replacing(path) as fh:

@@ -6,7 +6,7 @@ the kernel.  Validation checks both characterizations and reports each flag
 separately so a failing map can be diagnosed.
 """
 
-from .core import Partition, check_image, quotient_actor_set
+from .core import Partition, check_image, fibre_unions, quotient_actor_set
 from .errors import InvariantViolation, NotAReductionError, StructuralError, WellDefinednessError
 from .semigroup import DEFAULT_CAP, SemigroupHom, generator_induced_hom, role_semigroup
 
@@ -165,7 +165,10 @@ def validate_positional_reduction(f, src, dst, mode="out"):
     into dst, "reflects" the inclusion back.  ``mode="in"`` (graphs only)
     reads every relation on both sides backwards, which turns incoming-edge
     reflection into the outgoing check.  The blockmodel flag recomputes dst
-    from src and f rather than trusting it.
+    from src and f rather than trusting it: the pushforward's part at b is the
+    union of the signatures over b's fibre, and in mode "in" that compares
+    the converses, which are equal exactly when the relations are.  Each view
+    on either side is signed once.
     """
     if mode not in ("out", "in"):
         raise StructuralError(f"mode must be 'out' or 'in', got {mode!r}")
@@ -179,12 +182,14 @@ def validate_positional_reduction(f, src, dst, mode="out"):
 
     report = ReductionReport(surjective=f.is_surjective)
     identity = range(len(dst.actors))
+    matches = report.surjective
     for name, s, d in zip(src.names, src.views(mode), dst.views(mode)):
         theirs = list(d.signatures(identity))
         ours = list(s.signatures(f.image))
         report.preserves[name] = all(sig <= theirs[b] for sig, b in zip(ours, f.image))
         report.reflects[name] = all(sig >= theirs[b] for sig, b in zip(ours, f.image))
-    report.matches_blockmodel = report.surjective and pushforward_network(src, f) == dst
+        matches = matches and fibre_unions(f.image, ours, len(identity)) == theirs
+    report.matches_blockmodel = matches
     return report
 
 

@@ -903,6 +903,46 @@ def test_unwritable_output_error_names_the_given_path(files, capsys, monkeypatch
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
 
 
+# Every output target is checked before anything is written: a directory, or
+# two targets that resolve to one file, exits 2 naming the path as given, and
+# every target keeps its old content.
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (BLOCKMODEL + ["-o", "out", "--dot", "q.dot"], "out"),
+        (BLOCKMODEL + ["--dot", "out", "-o", "q.json"], "out"),
+        (BLOCKMODEL + ["-o", "q.json", "--dot", "q.json"], "q.json"),
+        (BLOCKMODEL + ["-o", "fresh.json", "--dot", "fresh.json"], "fresh.json"),
+        (BLOCKMODEL + ["-o", "q.json", "--dot", "out/../q.json"], "out/../q.json"),
+        (BLOCKMODEL + ["-o", "link.json", "--dot", "q.json"], "q.json"),
+        (ROLES + ["--table", "out"], "out"),
+        (["convert", "--undirected", "u.json", "-o", "out"], "out"),
+    ],
+    ids=[
+        "o-directory-beside-dot", "dot-directory-beside-o", "same-existing-path",
+        "same-fresh-path", "same-path-through-a-directory", "same-path-through-a-symlink",
+        "table-directory", "convert-o-directory",
+    ],
+)
+def test_output_targets_are_checked_before_anything_is_written(files, capsys, monkeypatch, argv, named):
+    tmp_path, wn, wp, write_doc = files
+    net = family_three_merged()
+    wn("net.json", net)
+    wp("e.json", generations_partition(net.actors))
+    write_doc("u.json", {"kind": "undirected", "actors": ["a", "b"], "hyperedges": [["a", "b"]]})
+    (tmp_path / "out").mkdir()
+    for name in ("q.json", "q.dot"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    (tmp_path / "link.json").symlink_to("q.json")
+    monkeypatch.chdir(tmp_path)
+    before = {str(p): p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()}
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and f"'{named}'" in err
+    assert {str(p): p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()} == before
+
+
 # ── repeated calls in one process ────────────────────────────────────────────
 #
 # ``main`` builds its parser once and reuses it.  Each sequence below runs
