@@ -39,14 +39,10 @@ from .hypergraph import (
     FHyperStructure,
     MultiHypergraph,
     UndirectedHypergraph,
-    blockmodel_multihypergraph,
-    coarsest_regular_hyper_bruteforce,
     embed_relation,
     from_undirected,
     is_graph_like,
-    is_regular_hyper,
     loose_compose,
-    max_regular_hyper_partition,
     neighbourhood,
     prune_empty_targets,
     tight_compose,

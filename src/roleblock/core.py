@@ -483,9 +483,9 @@ class MultiNetwork(MultiStructure):
 
     __slots__ = ()
 
-    def views(self, mode="both"):
-        """The relations ("out"), their ``Converse`` readers ("in") or both."""
-        if mode not in MODES:
+    def views(self, mode=None):
+        """The relations ("out"), their ``Converse`` readers ("in") or both ("both" or None)."""
+        if mode not in (None, *MODES):
             raise StructuralError(f"mode must be one of {MODES}, got {mode!r}")
         rels = self.relations.values()
         return chain(
@@ -653,7 +653,7 @@ def signatures_agree(structures, e):
 
 
 def is_outward_regular(r, e):
-    """Equivalent actors have out-edges into the same blocks."""
+    """Equivalent actors have out-edges, or families of target sets, into the same blocks."""
     return signatures_agree([r], e)
 
 
@@ -666,8 +666,8 @@ def is_regular(r, e):
     return is_outward_regular(r, e) and is_inward_regular(r, e)
 
 
-def network_passes(net, e, mode="both"):
-    """True when e passes the selected check against every relation of net."""
+def network_passes(net, e, mode=None):
+    """True when e passes the check against every structure that ``net.views(mode)`` selects."""
     return signatures_agree(net.views(mode), e)
 
 
@@ -888,8 +888,8 @@ def refine(structures, actors, seed=None):
     return Partition(actors, block_of[:n])
 
 
-def max_regular_partition(net, mode="both", seed=None):
-    """Coarsest regular refinement of ``seed`` for the relations selected by ``mode``."""
+def max_regular_partition(net, mode=None, seed=None):
+    """Coarsest regular refinement of ``seed`` for the ``views(mode)`` of either kind of network."""
     return refine(net.views(mode), net.actors, seed)
 
 
@@ -1009,6 +1009,6 @@ def bruteforce(structures, actors):
     return Partition(actors, best)
 
 
-def coarsest_regular_bruteforce(net, mode="both"):
-    """Brute-force oracle for ``max_regular_partition`` with no seed."""
+def coarsest_regular_bruteforce(net, mode=None):
+    """Brute-force oracle for ``max_regular_partition`` with no seed, on either kind of network."""
     return bruteforce(net.views(mode), net.actors)

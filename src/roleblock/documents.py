@@ -102,22 +102,23 @@ def _load_json(path):
 def replacing(path):
     """A text file open for writing that replaces ``path`` whole or not at all.
 
-    The text goes to a fresh file beside the target, which replaces the
-    target in one step when the ``with`` block ends; if anything fails, the
-    target keeps its old content and the fresh file is removed.  An
-    ``OSError`` on the fresh file names ``path``; one on another file passes
-    as it is.  Writes leave the process in 64 KiB pieces, however small the
-    pieces written.
+    The target is ``path`` with its symlinks resolved, so a link is kept.  The
+    text goes to a fresh file beside the target, which replaces the target in
+    one step when the ``with`` block ends; if anything fails, the target keeps
+    its old content and the fresh file is removed.  An ``OSError`` on the
+    fresh file names ``path``; one on another file passes as it is.  Writes
+    leave the process in 64 KiB pieces, however small the pieces written.
     """
     path = os.fspath(path)
-    head, tail = os.path.split(path)
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", buffering=1 << 16, encoding="utf-8") as fh:
                 yield fh
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -1,4 +1,4 @@
-"""F-hypergraph structures, their two composition operations, and regularity.
+"""F-hypergraph structures and their two composition operations.
 
 An F-hypergraph assigns to each actor a family of target sets, and an
 ``FHyperStructure`` is the ``core.Structure`` whose part is that family.  A
@@ -10,7 +10,7 @@ O(n + m) in all for n actors and m target members.  The one normaliser,
 ``core.sorted_distinct`` on each target set, then on the family.  An
 ``UndirectedHypergraph`` keeps its hyperedges in the form of one family.
 Everything but ``loose_compose`` reads the stored tuples as they are, and
-``core.Structure`` pushes an F-structure forward as it does a relation.  An
+``core`` checks, refines, blockmodels and pushes forward both kinds alike.  An
 empty target set, the empty tuple, is a legal hyperedge target and is
 distinct from an actor having no hyperedges.
 
@@ -27,13 +27,9 @@ from .core import (
     PartAction,
     Relation,
     Structure,
-    blockmodel_network,
-    bruteforce,
     in_range,
     index_mask,
     mask_members,
-    refine,
-    signatures_agree,
     sorted_distinct,
 )
 from .errors import StructuralError
@@ -173,9 +169,9 @@ class MultiHypergraph(MultiStructure):
 
     __slots__ = ()
 
-    def views(self, mode="out"):
-        """The structures; an F-structure points one way, so only "out" is accepted."""
-        if mode != "out":
+    def views(self, mode=None):
+        """The structures; an F-structure points one way, so only "out" or None is accepted."""
+        if mode not in (None, "out"):
             raise StructuralError(f"mode {mode!r} applies only to graph networks")
         return self.relations.values()
 
@@ -305,23 +301,3 @@ def prune_empty_targets(h):
     return FHyperStructure._from_canonical(
         h.actors, [family[1:] if family and not family[0] else family for family in h.targets]
     )
-
-
-# ── blockmodels and regularity: the shared code in ``core`` ─────────────────
-
-blockmodel_multihypergraph = blockmodel_network
-
-
-def is_regular_hyper(h, e):
-    """Equivalent actors have the same family of block-level target sets."""
-    return signatures_agree([h], e)
-
-
-def max_regular_hyper_partition(mh, seed=None):
-    """Coarsest partition refining ``seed`` that is regular for every structure."""
-    return refine(mh.views(), mh.actors, seed)
-
-
-def coarsest_regular_hyper_bruteforce(mh):
-    """Brute-force oracle for ``max_regular_hyper_partition`` with no seed."""
-    return bruteforce(mh.views(), mh.actors)

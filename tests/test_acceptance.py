@@ -23,7 +23,6 @@ from roleblock import (
     WellDefinednessError,
     check_functoriality,
     coarsest_regular_bruteforce,
-    coarsest_regular_hyper_bruteforce,
     compose_relations,
     embed_relation,
     empty_relation,
@@ -32,9 +31,7 @@ from roleblock import (
     identity_relation,
     is_inward_regular,
     is_outward_regular,
-    is_regular_hyper,
     loose_compose,
-    max_regular_hyper_partition,
     max_regular_partition,
     multiplication_table,
     role_semigroup,
@@ -240,10 +237,10 @@ def _graph_chain(rng):
 
 def _hyper_chain(rng):
     mh = random_multihyper(rng, n=rng.randint(2, 5), k=rng.randint(1, 2))
-    e1 = max_regular_hyper_partition(mh, seed=random_partition(rng, mh.actors))
+    e1 = max_regular_partition(mh, seed=random_partition(rng, mh.actors))
     f1 = quotient_map(e1)
     n1 = pushforward_network(mh, f1)
-    e2 = max_regular_hyper_partition(n1, seed=random_partition(rng, n1.actors))
+    e2 = max_regular_partition(n1, seed=random_partition(rng, n1.actors))
     f2 = quotient_map(e2)
     n2 = pushforward_network(n1, f2)
     return [mh, n1, n2], [f1, f2]
@@ -299,7 +296,7 @@ def test_08_embedding_coherence():
             ]
             h = from_undirected(UndirectedHypergraph(acts, edges))
             e = random_partition(rng, acts)
-            assert is_regular_hyper(h, e) == pp_bisimulation_oracle(h, e)
+            assert is_outward_regular(h, e) == pp_bisimulation_oracle(h, e)
 
 
 def test_09_algebra_laws():
@@ -363,6 +360,6 @@ def test_09_algebra_laws():
 def test_10_tree_coarsest_partition():
     with criterion("tree coarsest partition", 5.0):
         mh = parent_tree_hyper()
-        fast = max_regular_hyper_partition(mh, seed=Partition.universal(mh.actors))
+        fast = max_regular_partition(mh, seed=Partition.universal(mh.actors))
         assert fast.label_blocks() == [["r"], ["a", "b"], ["a1", "a2", "b1", "b2"]]
-        assert fast == coarsest_regular_hyper_bruteforce(mh)
+        assert fast == coarsest_regular_bruteforce(mh)

@@ -30,7 +30,6 @@ from roleblock import (
     MultiNetwork,
     Relation,
     coarsest_regular_bruteforce,
-    coarsest_regular_hyper_bruteforce,
     core,
     fixtures,
 )
@@ -148,8 +147,8 @@ def test_signature_calls_are_pinned(make, blocks, search_calls, scan_calls):
     [
         (fixtures.family_three, coarsest_regular_bruteforce),
         (fixtures.mirrored_pair_graph, coarsest_regular_bruteforce),
-        (fixtures.parent_grandparent_hyper, coarsest_regular_hyper_bruteforce),
-        (fixtures.fanout_pair_hyper, coarsest_regular_hyper_bruteforce),
+        (fixtures.parent_grandparent_hyper, coarsest_regular_bruteforce),
+        (fixtures.fanout_pair_hyper, coarsest_regular_bruteforce),
     ],
     ids=["family-three", "mirrored-pair", "parent-grandparent", "fanout-pair"],
 )

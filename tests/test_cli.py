@@ -943,6 +943,51 @@ def test_output_targets_are_checked_before_anything_is_written(files, capsys, mo
     assert {str(p): p.read_bytes() for p in tmp_path.rglob("*") if not p.is_dir()} == before
 
 
+# A symlinked output target is written through: the link stays as it was, and
+# the file it points to, in another directory, existing or not yet, holds the
+# output a plain path gets.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BLOCKMODEL + ["-o", "link"],
+        BLOCKMODEL + ["--dot", "link"],
+        ROLES + ["--table", "link"],
+        ["convert", "--undirected", "u.json", "-o", "link"],
+    ],
+    ids=["o", "dot", "table", "convert-o"],
+)
+@pytest.mark.parametrize("dangling", [False, True], ids=["existing-target", "dangling"])
+def test_a_symlinked_output_is_written_through(files, capsys, monkeypatch, argv, dangling):
+    tmp_path, wn, wp, write_doc = files
+    net = family_three_merged()
+    wn("net.json", net)
+    wp("e.json", generations_partition(net.actors))
+    write_doc("u.json", {"kind": "undirected", "actors": ["a", "b"], "hyperedges": [["a", "b"]]})
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "target.out"
+    if not dangling:
+        target.write_text("old\n")
+    (tmp_path / "link").symlink_to(os.path.join("real", "target.out"))
+    monkeypatch.chdir(tmp_path)
+    assert main([x if x != "link" else "plain.out" for x in argv]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert os.readlink(tmp_path / "link") == os.path.join("real", "target.out")
+    assert target.read_bytes() == (tmp_path / "plain.out").read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
+
+
+def test_induce_map_that_is_not_an_object_exits_two(files, capsys):
+    _, wn, _, write_doc = files
+    net = wn("net.json", family_three_merged())
+    m = write_doc("m.json", {"map": ["a", "b"]})
+    code = main(["induce", "--source", net, "--map", m, "--target", net, "--compose", "graph"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {m}: field 'map' must be an object of label pairs\n"
+
+
 # ── repeated calls in one process ────────────────────────────────────────────
 #
 # ``main`` builds its parser once and reuses it.  Each sequence below runs

@@ -36,7 +36,6 @@ from roleblock import (
     is_inward_regular,
     is_outward_regular,
     is_regular,
-    max_regular_hyper_partition,
     max_regular_partition,
     network_passes,
     quotient_actor_set,
@@ -499,7 +498,7 @@ class TestSettledNodes:
     def test_hyper_seed_with_half_its_blocks_singletons(self, rng):
         mh = random_multihyper(rng, rng.randint(1, 30), rng.randint(1, 2), max_target=3)
         seed = half_singleton_seed(rng, mh.actors)
-        assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+        assert max_regular_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
 
     @pytest.mark.parametrize("mode", ["out", "in", "both"])
     def test_a_path_ends_discrete(self, mode):

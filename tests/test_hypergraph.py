@@ -19,17 +19,15 @@ from roleblock import (
     Partition,
     StructuralError,
     UndirectedHypergraph,
-    blockmodel_multihypergraph,
+    blockmodel_network,
     coarsest_regular_bruteforce,
-    coarsest_regular_hyper_bruteforce,
     compose_relations,
     embed_relation,
     from_undirected,
     identity_relation,
     is_graph_like,
-    is_regular_hyper,
+    is_outward_regular,
     loose_compose,
-    max_regular_hyper_partition,
     max_regular_partition,
     neighbourhood,
     network_passes,
@@ -270,7 +268,7 @@ class TestBlockmodelHypergraph:
     def test_tree_by_generations(self):
         mh = parent_tree_hyper()
         e = tree_generations_partition(mh.actors)
-        quotient = blockmodel_multihypergraph(mh, e)
+        quotient = blockmodel_network(mh, e)
         q, bm = quotient.actors, quotient.relations["H"]
         assert q.labels == ("{r}", "{a,b}", "{a1,a2,b1,b2}")
         assert edges_of(bm) == [
@@ -283,7 +281,7 @@ class TestBlockmodelHypergraph:
         e = Partition.from_label_blocks(
             mh.actors, [["r"], ["a"], ["b"], ["a1", "b1"], ["a2", "b2"]]
         )
-        bm = blockmodel_multihypergraph(mh, e).relations["H"]
+        bm = blockmodel_network(mh, e).relations["H"]
         assert edges_of(bm) == [
             ("{a}", ("{a1,b1}", "{a2,b2}")),
             ("{b}", ("{a1,b1}", "{a2,b2}")),
@@ -295,7 +293,7 @@ class TestBlockmodelHypergraph:
         for _ in range(20):
             acts = actors(rng.randint(1, 5))
             h = random_fhyper(rng, acts)
-            bm = blockmodel_multihypergraph(
+            bm = blockmodel_network(
                 MultiHypergraph(acts, [("H", h)]), Partition.discrete(acts)
             ).relations["H"]
             assert bm.targets == h.targets
@@ -305,21 +303,21 @@ class TestIsRegularHyper:
     def test_tree_generations_regular(self):
         mh = parent_tree_hyper()
         e = tree_generations_partition(mh.actors)
-        assert is_regular_hyper(mh.relations["H"], e)
+        assert is_outward_regular(mh.relations["H"], e)
 
     def test_tree_parent_split_regular(self):
         mh = parent_tree_hyper()
         e = Partition.from_label_blocks(
             mh.actors, [["r"], ["a"], ["b"], ["a1", "b1"], ["a2", "b2"]]
         )
-        assert is_regular_hyper(mh.relations["H"], e)
+        assert is_outward_regular(mh.relations["H"], e)
 
     def test_merging_root_with_parent_fails(self):
         mh = parent_tree_hyper()
         e = Partition.from_label_blocks(
             mh.actors, [["r", "a"], ["b"], ["a1"], ["a2"], ["b1"], ["b2"]]
         )
-        assert not is_regular_hyper(mh.relations["H"], e)
+        assert not is_outward_regular(mh.relations["H"], e)
 
     def test_agrees_with_lifting_oracle(self):
         rng = random.Random(26)
@@ -327,7 +325,7 @@ class TestIsRegularHyper:
             acts = actors(rng.randint(1, 5))
             h = random_fhyper(rng, acts)
             e = random_partition(rng, acts)
-            assert is_regular_hyper(h, e) == pp_bisimulation_oracle(h, e)
+            assert is_outward_regular(h, e) == pp_bisimulation_oracle(h, e)
 
     def test_agrees_with_lifting_oracle_on_undirected(self):
         rng = random.Random(27)
@@ -339,40 +337,40 @@ class TestIsRegularHyper:
             ]
             h = from_undirected(UndirectedHypergraph(acts, edges))
             e = random_partition(rng, acts)
-            assert is_regular_hyper(h, e) == pp_bisimulation_oracle(h, e)
+            assert is_outward_regular(h, e) == pp_bisimulation_oracle(h, e)
 
 
 class TestMaxRegularHyperPartition:
     def test_tree_generations(self):
         mh = parent_tree_hyper()
-        got = max_regular_hyper_partition(mh)
+        got = max_regular_partition(mh)
         assert got.label_blocks() == [["r"], ["a", "b"], ["a1", "a2", "b1", "b2"]]
-        assert got == coarsest_regular_hyper_bruteforce(mh)
+        assert got == coarsest_regular_bruteforce(mh)
 
     def test_discrete_seed_stays_discrete(self):
         mh = parent_tree_hyper()
         seed = Partition.discrete(mh.actors)
-        assert max_regular_hyper_partition(mh, seed=seed) == seed
+        assert max_regular_partition(mh, seed=seed) == seed
 
     def test_empty_structure_gives_universal(self):
         acts = actors(4)
         mh = MultiHypergraph(acts, [("H", FHyperStructure(acts, [[], [], [], []]))])
-        assert max_regular_hyper_partition(mh) == Partition.universal(acts)
+        assert max_regular_partition(mh) == Partition.universal(acts)
 
     def test_agrees_with_bruteforce_on_fuzz(self):
         rng = random.Random(28)
         for _ in range(40):
             mh = random_multihyper(rng, n=rng.randint(1, 4), k=rng.randint(1, 2))
-            assert max_regular_hyper_partition(mh) == coarsest_regular_hyper_bruteforce(mh)
+            assert max_regular_partition(mh) == coarsest_regular_bruteforce(mh)
 
     def test_output_refines_seed_and_passes(self):
         rng = random.Random(29)
         for _ in range(40):
             mh = random_multihyper(rng, n=rng.randint(1, 5))
             seed = random_partition(rng, mh.actors)
-            got = max_regular_hyper_partition(mh, seed=seed)
+            got = max_regular_partition(mh, seed=seed)
             assert got.refines(seed)
-            assert all(is_regular_hyper(h, got) for h in mh.relations.values())
+            assert all(is_outward_regular(h, got) for h in mh.relations.values())
 
     @pytest.mark.parametrize("mode", ["in", "both"])
     def test_inward_modes_refuse_f_structures(self, mode):

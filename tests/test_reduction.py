@@ -21,9 +21,8 @@ from roleblock import (
     generator_induced_hom,
     identity_map,
     induced_role_reduction,
-    is_regular_hyper,
+    is_outward_regular,
     kernel_partition,
-    max_regular_hyper_partition,
     max_regular_partition,
     network_passes,
     pushforward_network,
@@ -225,7 +224,7 @@ class TestValidateHyper:
             f, dst = quotient_stage(mh, e)
             report = validate_positional_reduction(f, mh, dst)
             kernel_regular = all(
-                is_regular_hyper(h, kernel_partition(f)) for h in mh.relations.values()
+                is_outward_regular(h, kernel_partition(f)) for h in mh.relations.values()
             )
             assert all(report.reflects.values()) == kernel_regular
 
@@ -367,9 +366,9 @@ class TestCheckFunctoriality:
         done = 0
         while done < 12:
             mh = random_multihyper(rng, n=rng.randint(2, 5), k=rng.randint(1, 2))
-            e1 = max_regular_hyper_partition(mh, seed=random_partition(rng, mh.actors))
+            e1 = max_regular_partition(mh, seed=random_partition(rng, mh.actors))
             f1, n1 = quotient_stage(mh, e1)
-            e2 = max_regular_hyper_partition(n1, seed=random_partition(rng, n1.actors))
+            e2 = max_regular_partition(n1, seed=random_partition(rng, n1.actors))
             f2, n2 = quotient_stage(n1, e2)
             for kind, prune in (("tight", False), ("loose", False), ("loose", True)):
                 report = check_functoriality([mh, n1, n2], [f1, f2], kind, prune_empty=prune, cap=400)

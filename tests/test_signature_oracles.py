@@ -43,14 +43,10 @@ from roleblock import (
     MultiNetwork,
     Partition,
     Relation,
-    blockmodel_multihypergraph,
     blockmodel_network,
     coarsest_regular_bruteforce,
-    coarsest_regular_hyper_bruteforce,
     is_inward_regular,
     is_outward_regular,
-    is_regular_hyper,
-    max_regular_hyper_partition,
     max_regular_partition,
     network_passes,
     pushforward_network,
@@ -101,9 +97,9 @@ def test_hyper_check_equals_bisimulation_oracle(rng):
     if rng.random() < 0.5:
         e = random_partition(rng, mh.actors)
     else:
-        e = max_regular_hyper_partition(mh)
+        e = max_regular_partition(mh)
     for h in mh.relations.values():
-        assert is_regular_hyper(h, e) == pp_bisimulation_oracle(h, e)
+        assert is_outward_regular(h, e) == pp_bisimulation_oracle(h, e)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -118,7 +114,7 @@ def test_graph_refinement_equals_bruteforce(mode, rng):
 @given(rng=st.randoms(use_true_random=False))
 def test_hyper_refinement_equals_bruteforce(rng):
     mh = hyper(rng)
-    assert max_regular_hyper_partition(mh) == coarsest_regular_hyper_bruteforce(mh)
+    assert max_regular_partition(mh) == coarsest_regular_bruteforce(mh)
 
 
 def per_actor(s, image):
@@ -172,7 +168,7 @@ def test_checks_and_validation_sign_each_view_in_one_pass(monkeypatch, mode):
     rng = random.Random(7)
     if mode == "fhyper":
         net, mode, cls = random_multihyper(rng, n=12, k=2, max_target=3), "out", MultiHypergraph
-        e = max_regular_hyper_partition(net)
+        e = max_regular_partition(net)
     else:
         net, cls = random_network(rng, n=12, k=2, density=0.2), MultiNetwork
         e = max_regular_partition(net, mode)
@@ -235,7 +231,7 @@ def test_seeded_hyper_refinement_equals_naive_rounds(rng):
     # target sets of size 0 occur, so empty targets are covered
     mh = random_multihyper(rng, rng.randint(0, 24), rng.randint(1, 2), max_target=3)
     seed = random_partition(rng, mh.actors) if rng.random() < 0.7 else None
-    assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+    assert max_regular_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
 
 
 def two_sorted(rng):
@@ -273,7 +269,7 @@ def two_sorted(rng):
 def test_two_sorted_view_equals_naive_rounds(rng):
     mh = two_sorted(rng)
     seed = random_partition(rng, mh.actors) if rng.random() < 0.5 else None
-    assert max_regular_hyper_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
+    assert max_regular_partition(mh, seed=seed) == naive_refine(mh.views(), mh.actors, seed)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -315,7 +311,7 @@ def chains_and_hub(kind, hub, count=2, length=1000):
 def coarsest(kind, net):
     if kind in MODES:
         return max_regular_partition(net, mode=kind)
-    return max_regular_hyper_partition(net)
+    return max_regular_partition(net)
 
 
 def best_time(kind, net):
@@ -415,7 +411,7 @@ def test_inward_checks_equal_their_oracles_on_transposes(rng):
 @SETTINGS
 @given(rng=st.randoms(use_true_random=False))
 def test_blockmodels_are_pushforwards_along_the_quotient_map(rng):
-    for net, blockmodel in ((graph(rng), blockmodel_network), (hyper(rng), blockmodel_multihypergraph)):
+    for net, blockmodel in ((graph(rng), blockmodel_network), (hyper(rng), blockmodel_network)):
         e = random_partition(rng, net.actors)
         f = quotient_map(e)
         quotient = blockmodel(net, e)
