@@ -21,7 +21,6 @@ from .core import (
     identity_relation,
     is_inward_regular,
     is_outward_regular,
-    is_regular,
     max_regular_partition,
     network_passes,
     quotient_actor_set,

@@ -163,7 +163,7 @@ class Structure:
     one with ``part_bits``; ``pushforward`` joins the sets its ``signatures`` yields.
     """
 
-    __slots__ = ("actors", "parts", "_hash")
+    __slots__ = ("actors", "parts")
 
     def __init__(self, actors, parts):
         parts = tuple(parts)
@@ -172,7 +172,6 @@ class Structure:
             raise StructuralError(f"expected {n} {self._noun}, got {len(parts)}")
         self.actors = actors
         self.parts = tuple(self._normal_part(self._in_range(part, n)) for part in parts)
-        self._hash = None
 
     @classmethod
     def _from_canonical(cls, actors, parts):
@@ -180,7 +179,6 @@ class Structure:
         s = cls.__new__(cls)
         s.actors = actors
         s.parts = tuple(parts)
-        s._hash = None
         return s
 
     @classmethod
@@ -217,10 +215,7 @@ class Structure:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.parts)
-        return h
+        return hash(self.parts)
 
 
 class Relation(Structure):
@@ -308,7 +303,8 @@ class Converse:
     every actor's set in one pass over ``out``, and ``successors`` hands
     itself to ``refine``'s edge view, which reads the rows backwards.  Only
     ``signature`` and ``support``, the brute-force oracle's one-actor reads,
-    build the in-rows, once, on their first call.
+    need the in-rows: the rows of ``Relation.transpose``, built once, on
+    their first call.
     """
 
     __slots__ = ("relation", "_rows")
@@ -322,14 +318,9 @@ class Converse:
         return self.relation.actors
 
     def _in_rows(self):
-        rows = self._rows
-        if rows is None:
-            rows = [[] for _ in self.relation.out]
-            for v, row in enumerate(self.relation.out):
-                for u in row:
-                    rows[u].append(v)
-            rows = self._rows = tuple(map(tuple, rows))
-        return rows
+        if self._rows is None:
+            self._rows = self.relation.transpose().out
+        return self._rows
 
     def signature(self, i, image):
         """The images of i's in-neighbours under ``image`` (a sequence of indices)."""
@@ -662,10 +653,6 @@ def is_inward_regular(r, e):
     return signatures_agree([Converse(r)], e)
 
 
-def is_regular(r, e):
-    return is_outward_regular(r, e) and is_inward_regular(r, e)
-
-
 def network_passes(net, e, mode=None):
     """True when e passes the check against every structure that ``net.views(mode)`` selects."""
     return signatures_agree(net.views(mode), e)
@@ -941,10 +928,7 @@ def bruteforce(structures, actors):
       Placed actors never move, so the two differ at every leaf below.
 
     A leaf is reached when each signature equals the first of its block, so
-    exactly the regular leaves survive, in restricted-growth order.  A
-    signature complete at actor d that does not read d's block (d's own,
-    when d is not in its support) is computed once for all the blocks tried
-    for d.
+    exactly the regular leaves survive, in restricted-growth order.
     """
     structures = list(structures)
     n = len(actors)
@@ -952,19 +936,12 @@ def bruteforce(structures, actors):
         raise ResourceLimitError(
             f"brute-force search is capped at {MAX_ORACLE_ACTORS} actors, got {n}", count=n
         )
-    # ready[d]: (structure t, actor i, its signature, None) for each signature
-    # complete at d; fixed[d]: the places in ready[d] of the signatures that do
-    # not read block[d], which place(d) computes once for all the blocks it tries
+    # ready[d]: (structure t, its signature, actor i) for each signature complete at d
     ready = [[] for _ in range(n)]
-    fixed = [[] for _ in range(n)]
     for t, s in enumerate(structures):
         s.actors.require_same(actors)
         for i in range(n):
-            support = s.support(i)
-            d = max((i, *support))
-            if d not in support:
-                fixed[d].append(len(ready[d]))
-            ready[d].append((t, i, s.signature, None))
+            ready[max((i, *s.support(i)))].append((t, s.signature, i))
     # block[j]: actor j's block; no complete signature reads an unplaced one
     block = [0] * n
     # first[b][t]: the first complete signature of structure t in block b
@@ -976,24 +953,15 @@ def bruteforce(structures, actors):
         if d == n:
             best, best_count = block[:], count
             return
-        # a signature that does not read block[d] is the same for every b:
-        # computed here, it takes the None's place
-        checks = ready[d]
-        if fixed[d]:
-            checks = checks[:]
-            for k in fixed[d]:
-                t, i, signature, _ = checks[k]
-                checks[k] = (t, i, None, signature(i, block))
         for b in range(count + 1):
             grown = count + (b == count)
             if grown >= best_count:
                 break
             block[d] = b
             kept = []
-            for t, i, signature, sig in checks:
+            for t, signature, i in ready[d]:
                 firsts = first[block[i]]
-                if signature is not None:
-                    sig = signature(i, block)
+                sig = signature(i, block)
                 if firsts[t] is None:
                     firsts[t] = sig
                     kept.append((firsts, t))

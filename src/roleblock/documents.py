@@ -18,6 +18,7 @@ relation has been read.
 import contextlib
 import json
 import os
+import stat
 from itertools import chain, islice
 
 from .core import ActorSet, MultiNetwork, MultiStructure, Partition, Relation
@@ -105,25 +106,42 @@ def replacing(path):
     The target is ``path`` with its symlinks resolved, so a link is kept.  The
     text goes to a fresh file beside the target, which replaces the target in
     one step when the ``with`` block ends; if anything fails, the target keeps
-    its old content and the fresh file is removed.  An ``OSError`` on the
-    fresh file names ``path``; one on another file passes as it is.  Writes
-    leave the process in 64 KiB pieces, however small the pieces written.
+    its old content and the fresh file is removed.  The fresh file takes an
+    existing target's permission bits.  An existing target that is neither a
+    regular file nor a directory, such as a FIFO, cannot be replaced and is
+    written into instead.  An ``OSError`` on the file written names ``path``;
+    one on another file passes as it is.  Writes leave the process in 64 KiB
+    pieces, however small the pieces written.
     """
     path = os.fspath(path)
     target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        mode = os.stat(target).st_mode
+    except OSError:  # no target yet, or one the open below fails on
+        mode = None
+    into = mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+    if into:
+        written = target
+    else:
+        head, tail = os.path.split(target)
+        written = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        if into:
+            with open(os.open(target, os.O_WRONLY), "w", buffering=1 << 16, encoding="utf-8") as fh:
+                yield fh
+            return
+        fd = os.open(written, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             with open(fd, "w", buffering=1 << 16, encoding="utf-8") as fh:
                 yield fh
-            os.replace(tmp, target)
+            os.replace(written, target)
         except BaseException:
-            os.unlink(tmp)
+            os.unlink(written)
             raise
     except OSError as exc:
-        if exc.errno is None or exc.filename not in (None, tmp):
+        if exc.errno is None or exc.filename not in (None, written):
             raise
         raise type(exc)(exc.errno, exc.strerror, path) from None
 

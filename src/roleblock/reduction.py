@@ -39,9 +39,6 @@ class ActorMap:
     def is_surjective(self):
         return set(self.image) == set(range(len(self.target)))
 
-    def __call__(self, i):
-        return self.image[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, ActorMap)

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -975,6 +977,94 @@ def test_a_symlinked_output_is_written_through(files, capsys, monkeypatch, argv,
     assert os.readlink(tmp_path / "link") == os.path.join("real", "target.out")
     assert target.read_bytes() == (tmp_path / "plain.out").read_bytes()
     assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
+
+
+OUTPUTS = pytest.mark.parametrize(
+    "argv",
+    [
+        BLOCKMODEL + ["-o", "target"],
+        BLOCKMODEL + ["--dot", "target"],
+        ROLES + ["--table", "target"],
+        ["convert", "--undirected", "u.json", "-o", "target"],
+    ],
+    ids=["o", "dot", "table", "convert-o"],
+)
+
+
+def _output_inputs(files, monkeypatch):
+    tmp_path, wn, wp, write_doc = files
+    net = family_three_merged()
+    wn("net.json", net)
+    wp("e.json", generations_partition(net.actors))
+    write_doc("u.json", {"kind": "undirected", "actors": ["a", "b"], "hyperedges": [["a", "b"]]})
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+# An output that replaces an existing file takes that file's permission bits,
+# through a symlink too; a new file gets the usual 0o666 less the umask.
+@OUTPUTS
+@pytest.mark.parametrize("via", ["direct", "symlink"])
+def test_an_output_keeps_its_targets_mode(files, capsys, monkeypatch, argv, via):
+    tmp_path = _output_inputs(files, monkeypatch)
+    target = tmp_path / "target"
+    if via == "symlink":
+        (tmp_path / "real").mkdir()
+        target.symlink_to(os.path.join("real", "target.out"))
+        target = tmp_path / "real" / "target.out"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    assert main([x if x != "target" else "plain.out" for x in argv]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "plain.out").stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert target.read_bytes() == (tmp_path / "plain.out").read_bytes()
+
+
+def _fifo_reader(path):
+    """A started thread that reads the FIFO at ``path`` to its end, and the list it fills."""
+    got = []
+
+    def read():
+        with open(path, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, got
+
+
+# A FIFO cannot be replaced, so an output is written into it: it stays a FIFO
+# and its reader gets what a plain file would hold, or, for a quotient, what
+# standard output would carry.
+@OUTPUTS
+def test_a_fifo_output_is_written_into(files, capsys, monkeypatch, argv):
+    tmp_path = _output_inputs(files, monkeypatch)
+    assert main([x if x != "target" else "plain.out" for x in argv]) == 0
+    os.mkfifo(tmp_path / "target")
+    reader, got = _fifo_reader(tmp_path / "target")
+    assert main(argv) == 0
+    reader.join(timeout=10)
+    capsys.readouterr()
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(tmp_path / "target").st_mode)
+    assert got == [(tmp_path / "plain.out").read_bytes()]
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_fifo_output_carries_what_stdout_would(files, capsys, monkeypatch):
+    tmp_path = _output_inputs(files, monkeypatch)
+    assert main(BLOCKMODEL) == 0
+    quotient = capsys.readouterr().out
+    os.mkfifo(tmp_path / "q.fifo")
+    reader, got = _fifo_reader(tmp_path / "q.fifo")
+    assert main(BLOCKMODEL + ["-o", "q.fifo"]) == 0
+    reader.join(timeout=10)
+    assert capsys.readouterr().out == ""
+    assert got == [quotient.encode()]
 
 
 def test_induce_map_that_is_not_an_object_exits_two(files, capsys):

@@ -35,7 +35,6 @@ from roleblock import (
     identity_relation,
     is_inward_regular,
     is_outward_regular,
-    is_regular,
     max_regular_partition,
     network_passes,
     quotient_actor_set,
@@ -370,24 +369,27 @@ class TestRegularity:
         e2 = Partition.from_label_blocks(net.actors, [["a"], ["b", "c"]])
         assert is_outward_regular(r, e2)
         assert is_inward_regular(r, e2)
-        assert is_regular(r, e2)
+        assert is_outward_regular(r, e2) and is_inward_regular(r, e2)
 
     def test_discrete_always_regular(self):
         rng = random.Random(6)
         for _ in range(30):
             acts = actors(rng.randint(0, 5))
             r = random_relation(rng, acts, 0.4)
-            assert is_regular(r, Partition.discrete(acts))
+            e = Partition.discrete(acts)
+            assert is_outward_regular(r, e) and is_inward_regular(r, e)
 
     def test_single_parent_universal_not_regular(self):
         net = single_parent_graph()
-        assert not is_regular(net.relations["R"], Partition.universal(net.actors))
+        r, e = net.relations["R"], Partition.universal(net.actors)
+        assert not (is_outward_regular(r, e) and is_inward_regular(r, e))
 
     def test_empty_relation_always_regular(self):
         rng = random.Random(7)
         for _ in range(20):
             acts = actors(rng.randint(0, 5))
-            assert is_regular(empty_relation(acts), random_partition(rng, acts))
+            r, e = empty_relation(acts), random_partition(rng, acts)
+            assert is_outward_regular(r, e) and is_inward_regular(r, e)
 
 
 # ── coarsest regular partition ───────────────────────────────────────────────

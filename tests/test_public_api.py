@@ -20,7 +20,7 @@ EXPORTS = {
     "tight_compose", "loose_compose", "prune_empty_targets",
     "embed_relation", "from_undirected", "is_graph_like", "to_relation", "neighbourhood",
     # regularity, refinement, oracles and blockmodels, for networks of either kind
-    "is_outward_regular", "is_inward_regular", "is_regular", "network_passes",
+    "is_outward_regular", "is_inward_regular", "network_passes",
     "max_regular_partition", "coarsest_regular_bruteforce", "enumerate_partitions",
     "blockmodel_network", "quotient_actor_set",
     # positional reductions
